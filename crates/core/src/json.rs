@@ -5,9 +5,16 @@
 //! before this module every layer grew its own emitter or parser — the
 //! Chrome-trace schema checker in [`crate::obs`], the witness reader in
 //! `hetchol-analyze::mc`, `Figure::to_json`, the bench-report validator.
-//! They now share this one [`JsonValue`] (the parser moved here verbatim
-//! from `obs`) and the job-API wire format of the `hetchol-serve` crate is
-//! built directly on it.
+//! They now share this one [`JsonValue`], and the job-API wire format of
+//! the `hetchol-serve` crate is built directly on it.
+//!
+//! [`parse_json`] is a single O(bytes) pass: each run of unescaped string
+//! bytes is copied as one slice of the input, so a 16 MB job log replays
+//! in linear time. Arrays and objects may nest at most 128 levels deep
+//! (serde_json's default); deeper input is an error naming its byte
+//! offset, never a stack overflow, because the parser's recursion depth
+//! is the document's nesting depth and the server parses request bodies
+//! from untrusted clients.
 //!
 //! Numbers are `f64` throughout, like JSON itself: integers are exact up
 //! to 2⁵³ (large identifiers such as content hashes should travel as hex
@@ -209,11 +216,17 @@ pub fn write_num(v: f64, out: &mut String) {
     }
 }
 
-/// Parse a complete JSON document (strict: one value, nothing trailing).
+/// Deepest nesting of arrays and objects [`parse_json`] accepts.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document (strict: one value, nothing trailing,
+/// at most 128 levels of nesting).
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -225,8 +238,12 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    /// The document; string runs are copied out as slices of it.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -253,8 +270,22 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(&open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -292,51 +323,65 @@ impl Parser<'_> {
             .ok_or_else(|| format!("bad number at byte {start}"))
     }
 
+    /// A string literal. Each run of unescaped bytes is copied with one
+    /// `push_str`: a run ends only at an ASCII `"` or `\`, so both of its
+    /// ends are char boundaries of `text`.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty by construction");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            self.pos += run;
+            out.push_str(&self.text[start..self.pos]);
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            match self.bytes.get(self.pos) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b't') => out.push('\t'),
+                Some(b'r') => out.push('\r'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => out.push(self.unicode_escape()?),
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
+            }
+            self.pos += 1;
         }
+    }
+
+    /// The `\u` escape whose `u` is at `pos`, leaving `pos` on its last
+    /// hex digit. A high surrogate directly followed by an escaped low
+    /// surrogate decodes to their one scalar; an unpaired surrogate is
+    /// U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let unit = hex4(self.bytes.get(at + 1..at + 5))
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+        self.pos += 4;
+        let low = match unit {
+            0xD800..=0xDBFF if self.bytes.get(self.pos + 1..self.pos + 3) == Some(&b"\\u"[..]) => {
+                hex4(self.bytes.get(self.pos + 3..self.pos + 7))
+                    .filter(|low| (0xDC00..=0xDFFF).contains(low))
+            }
+            _ => None,
+        };
+        let scalar = match low {
+            Some(low) => {
+                self.pos += 6;
+                0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+            }
+            None => unit,
+        };
+        Ok(char::from_u32(scalar).unwrap_or('\u{fffd}'))
     }
 
     fn array(&mut self) -> Result<JsonValue, String> {
@@ -386,6 +431,13 @@ impl Parser<'_> {
             }
         }
     }
+}
+
+/// The UTF-16 code unit spelled by exactly four hex digits (RFC 8259 §7).
+fn hex4(digits: Option<&[u8]>) -> Option<u32> {
+    digits?
+        .iter()
+        .try_fold(0, |unit, &b| Some(unit << 4 | char::from(b).to_digit(16)?))
 }
 
 #[cfg(test)]
@@ -444,5 +496,74 @@ mod tests {
     fn strict_parse_rejects_trailing() {
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_json("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_the_offending_offset() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        let (arr, obj) = (("[", "]"), (r#"{"k":"#, "}"));
+        assert!(parse_json(&nested(arr.0, arr.1, MAX_DEPTH)).is_ok());
+        assert!(parse_json(&nested(obj.0, obj.1, MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse_json(&nested(arr.0, arr.1, MAX_DEPTH + 1)),
+            Err("nesting deeper than 128 levels at byte 128".to_string())
+        );
+        assert_eq!(
+            parse_json(&nested(obj.0, obj.1, MAX_DEPTH + 1)),
+            Err("nesting deeper than 128 levels at byte 640".to_string())
+        );
+        // Far past the cap: an error, not a stack overflow.
+        let err = parse_json(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // Depth counts the containers open, not the containers seen.
+        let wide = vec![nested(arr.0, arr.1, MAX_DEPTH - 1); 3].join(",");
+        assert!(parse_json(&format!("[{wide}]")).is_ok());
+    }
+
+    #[test]
+    fn unicode_escapes_follow_rfc_8259() {
+        for (json, want) in [
+            (r#""\u0041""#, "A"),
+            (r#""\u00e9\u00E9""#, "éé"),
+            (r#""\u20ac""#, "€"),
+            (r#""\ud83d\ude00""#, "😀"),
+            (r#""\uD834\uDD1E!""#, "𝄞!"),
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00""#, "\u{fffd}"),
+            (r#""\ud83dx""#, "\u{fffd}x"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}😀"),
+            (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+            (r#""\ud83d\n""#, "\u{fffd}\n"),
+        ] {
+            assert_eq!(parse_json(json), Ok(JsonValue::str(want)), "{json}");
+        }
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u12""#,
+            r#""\u12g4""#,
+            r#""\u12é""#,
+            r#""\ud83d\u+e00""#,
+            r#""\ud83d\ude0""#,
+        ] {
+            let err = parse_json(bad).unwrap_err();
+            assert!(err.contains("bad \\u escape at byte"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn malformed_strings_keep_their_errors() {
+        assert_eq!(
+            parse_json(r#""unterminated \"é"#),
+            Err("unterminated string".to_string())
+        );
+        assert_eq!(
+            parse_json(r#""é\x""#),
+            Err("bad escape at byte 4".to_string())
+        );
     }
 }

@@ -677,8 +677,18 @@ mod tests {
     #[test]
     fn records_round_trip_through_the_frame() {
         let rec = record(7, 3, Some(r#"{"traceEvents":[]}"#));
-        let parsed = WalRecord::from_payload(&rec.to_payload()).expect("payload parses");
-        assert_eq!(rec, parsed);
+        // A real observed Cholesky job at 12 tiles: a Chrome trace of
+        // about 150 KB, escaped into the payload as one string.
+        let mut spec = JobSpec::new("cholesky", 12).expect("known workload");
+        spec.obs = true;
+        let run = spec.run().expect("valid spec");
+        let observed = crate::store::StoredJob::fresh(9, spec, run.outcome, run.sim).wal_record();
+        let trace_kb = observed.trace.as_ref().expect("obs job has a trace").len() / 1024;
+        assert!(trace_kb > 100, "trace of {trace_kb} KB");
+        for r in [&rec, &observed] {
+            let parsed = WalRecord::from_payload(&r.to_payload()).expect("payload parses");
+            assert_eq!(*r, parsed);
+        }
 
         let log = JobLog::in_memory(&IoFaultPlan::none());
         let a = log.append(&rec).expect("append");
@@ -687,7 +697,9 @@ mod tests {
         assert_eq!(b.offset, a.frame_bytes as u64);
         assert_eq!(log.read(a.offset).expect("read back"), rec);
         assert_eq!(log.read(b.offset).expect("read back").id, 8);
-        assert_eq!(log.appended(), 2);
+        let c = log.append(&observed).expect("append");
+        assert_eq!(log.read(c.offset).expect("read back"), observed);
+        assert_eq!(log.appended(), 3);
     }
 
     #[test]
@@ -726,6 +738,19 @@ mod tests {
         assert_eq!(got.len(), 1);
         let torn = report.torn.expect("tail");
         assert!(torn.reason.contains("truncated record"), "{}", torn.reason);
+
+        // A checksummed record nested past the parser's cap is a torn
+        // tail too, not a stack overflow.
+        let payload = "[".repeat(100_000);
+        let mut deep = full[..second_start].to_vec();
+        deep.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        deep.extend_from_slice(&checksum(payload.as_bytes()).to_le_bytes());
+        deep.extend_from_slice(payload.as_bytes());
+        let (got, report) = scan(&deep);
+        assert_eq!(got.len(), 1);
+        let torn = report.torn.expect("tail");
+        assert_eq!(torn.offset, second_start as u64);
+        assert!(torn.reason.contains("nesting deeper"), "{}", torn.reason);
     }
 
     #[test]

@@ -142,6 +142,27 @@ fn golden_error_bodies_are_stable() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_400_and_the_server_keeps_serving() {
+    let server = default_server();
+    // Nested far past the parser's cap, in a body under the size limit:
+    // bad-spec naming the offset, not a stack overflow that aborts the
+    // process, and the same server answers the next job.
+    let (status, body) = client::post_job(server.addr(), &"[".repeat(100_000)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    let v = parse_json(&body).unwrap();
+    assert_eq!(v.field("code").unwrap().as_str().unwrap(), "bad-spec");
+    let detail = v.field("detail").unwrap().as_str().unwrap();
+    assert!(
+        detail.contains("nesting deeper than 128 levels at byte 128"),
+        "{detail}"
+    );
+    let (status, body) =
+        client::post_job(server.addr(), r#"{"workload":"cholesky","n":4}"#).unwrap();
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
+
+#[test]
 fn concurrent_identical_specs_hit_the_cache_after_warmup() {
     let server = default_server();
     let spec = r#"{"workload":"cholesky","n":6,"action":"bounds"}"#;
