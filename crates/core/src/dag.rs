@@ -12,7 +12,6 @@
 use crate::kernel::Kernel;
 use crate::task::{Access, Task, TaskCoords, TaskId, Tile};
 use crate::time::Time;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Compressed-sparse-row adjacency: the neighbours of task `i` are the
@@ -31,16 +30,26 @@ struct CsrAdjacency {
 }
 
 impl CsrAdjacency {
-    /// Build from edge pairs sorted by `(row, target)` with no duplicates.
-    fn from_sorted_pairs(n_rows: usize, pairs: &[(TaskId, TaskId)]) -> CsrAdjacency {
+    /// The reverse adjacency, by a counting transpose: row `t` of the
+    /// result lists every row that holds `t`. Rows are visited in
+    /// increasing id order, so every transposed row comes out sorted.
+    fn transpose(&self) -> CsrAdjacency {
+        let n_rows = self.offsets.len() - 1;
         let mut offsets = vec![0u32; n_rows + 1];
-        for &(row, _) in pairs {
-            offsets[row.index() + 1] += 1;
+        for &t in &self.targets {
+            offsets[t.index() + 1] += 1;
         }
         for i in 0..n_rows {
             offsets[i + 1] += offsets[i];
         }
-        let targets = pairs.iter().map(|&(_, t)| t).collect();
+        let mut next = offsets[..n_rows].to_vec();
+        let mut targets = vec![TaskId(0); self.targets.len()];
+        for i in 0..n_rows {
+            for &t in self.row(i) {
+                targets[next[t.index()] as usize] = TaskId(i as u32);
+                next[t.index()] += 1;
+            }
+        }
         CsrAdjacency { offsets, targets }
     }
 
@@ -74,8 +83,6 @@ pub struct TaskGraph {
     succs: CsrAdjacency,
     /// Direct predecessors of each task (CSR; rows deduplicated, sorted).
     preds: CsrAdjacency,
-    /// Map from coordinates to identifier.
-    by_coords: HashMap<TaskCoords, TaskId>,
     /// All task accesses, flattened (CSR with `acc_off`): engines read
     /// these on every scheduler estimate, so they are materialized once
     /// here instead of allocating a `Vec` per [`TaskCoords::accesses`]
@@ -172,89 +179,98 @@ impl TaskGraph {
     /// Build a graph from an explicit submission order of tasks, deriving
     /// dependencies from data accesses. Exposed so tests can build custom
     /// micro-DAGs with the same machinery.
+    ///
+    /// One pass in submission order, with no hashing: every hazard edge
+    /// points at the task being visited, so each task's predecessor row
+    /// is complete (after a sort and dedup of its few ids) when the visit
+    /// ends, and the successor rows are its transpose.
+    ///
+    /// # Panics
+    /// Panics if two tasks have the same coordinates, or if a task
+    /// accesses a tile outside the `n × n` tile grid.
     pub fn from_submission_order(n: usize, coords: Vec<TaskCoords>) -> TaskGraph {
-        let tasks: Vec<Task> = coords
-            .iter()
-            .enumerate()
-            .map(|(idx, &c)| Task {
-                id: TaskId(idx as u32),
-                coords: c,
-            })
-            .collect();
-
-        let mut by_coords = HashMap::with_capacity(tasks.len());
-        for t in &tasks {
-            let prior = by_coords.insert(t.coords, t.id);
-            assert!(prior.is_none(), "duplicate task {:?}", t.coords);
+        let mut keys: Vec<u128> = coords.iter().map(|&c| coords_key(c)).collect();
+        keys.sort_unstable();
+        if let Some(w) = keys.windows(2).find(|w| w[0] == w[1]) {
+            let dup = coords.iter().find(|&&c| coords_key(c) == w[0]);
+            panic!("duplicate task {:?}", dup.expect("a key of a task"));
         }
 
-        // Flatten every task's accesses once; dependency derivation below
-        // and the engines' residency hooks both read from this arena.
-        let mut accesses: Vec<Access> = Vec::new();
-        let mut acc_off = Vec::with_capacity(tasks.len() + 1);
+        // Hazard state per tile, dense over the grid (`row * n + col`, the
+        // layout of `sim::data::Residency`): the last writer, and the
+        // readers since that write as a list threaded through `reads`
+        // (entry = reader, next; `NONE` ends a list).
+        const NONE: u32 = u32::MAX;
+        let mut last_writer = vec![NONE; n * n];
+        let mut first_read = vec![NONE; n * n];
+        let mut reads: Vec<(TaskId, u32)> = Vec::with_capacity(2 * coords.len());
+
+        // A task makes at most three accesses, and has about as many
+        // predecessors.
+        let mut accesses: Vec<Access> = Vec::with_capacity(3 * coords.len());
+        let mut acc_off = Vec::with_capacity(coords.len() + 1);
         acc_off.push(0u32);
-        for t in &tasks {
-            accesses.extend(t.coords.accesses());
-            acc_off.push(accesses.len() as u32);
-        }
-
-        // Per-tile data hazard state.
-        #[derive(Default, Clone)]
-        struct TileState {
-            last_writer: Option<TaskId>,
-            readers_since_write: Vec<TaskId>,
-        }
-        let mut tile_state: HashMap<Tile, TileState> = HashMap::new();
-
-        // Collect raw (from, to) pairs, then sort + dedup once and pack
-        // both adjacency directions into CSR arenas.
-        let mut edge_pairs: Vec<(TaskId, TaskId)> = Vec::new();
-        for t in &tasks {
-            for access in
-                &accesses[acc_off[t.id.index()] as usize..acc_off[t.id.index() + 1] as usize]
-            {
-                let st = tile_state.entry(access.tile).or_default();
+        let mut preds = CsrAdjacency {
+            offsets: Vec::with_capacity(coords.len() + 1),
+            targets: Vec::with_capacity(3 * coords.len()),
+        };
+        preds.offsets.push(0);
+        let mut row: Vec<TaskId> = Vec::new();
+        for (idx, &c) in coords.iter().enumerate() {
+            let t = TaskId(idx as u32);
+            let first = accesses.len();
+            c.push_accesses(&mut accesses);
+            for access in &accesses[first..] {
+                let Tile { row: r, col } = access.tile;
+                assert!(
+                    (r as usize) < n && (col as usize) < n,
+                    "task {c} accesses tile {} outside the {n} x {n} tile grid",
+                    access.tile
+                );
+                let slot = r as usize * n + col as usize;
+                // RAW, or WAW for a write, on the previous writer.
+                let w = last_writer[slot];
+                if w != NONE && w != t.0 {
+                    row.push(TaskId(w));
+                }
                 if access.mode.is_write() {
-                    // RAW/WAW on the previous writer.
-                    if let Some(w) = st.last_writer {
-                        if w != t.id {
-                            edge_pairs.push((w, t.id));
-                        }
-                    }
                     // WAR on every reader since that write.
-                    for &r in &st.readers_since_write {
-                        if r != t.id {
-                            edge_pairs.push((r, t.id));
+                    let mut next = first_read[slot];
+                    while next != NONE {
+                        let (reader, after) = reads[next as usize];
+                        if reader != t {
+                            row.push(reader);
                         }
+                        next = after;
                     }
-                    st.last_writer = Some(t.id);
-                    st.readers_since_write.clear();
+                    last_writer[slot] = t.0;
+                    first_read[slot] = NONE;
                 } else {
-                    if let Some(w) = st.last_writer {
-                        if w != t.id {
-                            edge_pairs.push((w, t.id));
-                        }
-                    }
-                    st.readers_since_write.push(t.id);
+                    reads.push((t, first_read[slot]));
+                    first_read[slot] = (reads.len() - 1) as u32;
                 }
             }
+            acc_off.push(accesses.len() as u32);
+            row.sort_unstable();
+            row.dedup();
+            preds.targets.extend_from_slice(&row);
+            preds.offsets.push(preds.targets.len() as u32);
+            row.clear();
         }
 
-        edge_pairs.sort_unstable();
-        edge_pairs.dedup();
-        let succs = CsrAdjacency::from_sorted_pairs(tasks.len(), &edge_pairs);
-        for pair in &mut edge_pairs {
-            *pair = (pair.1, pair.0);
-        }
-        edge_pairs.sort_unstable();
-        let preds = CsrAdjacency::from_sorted_pairs(tasks.len(), &edge_pairs);
-
+        let tasks = coords
+            .into_iter()
+            .enumerate()
+            .map(|(idx, coords)| Task {
+                id: TaskId(idx as u32),
+                coords,
+            })
+            .collect();
         TaskGraph {
             n,
             tasks,
-            succs,
+            succs: preds.transpose(),
             preds,
-            by_coords,
             accesses,
             acc_off,
         }
@@ -298,10 +314,9 @@ impl TaskGraph {
         &self.tasks[id.index()]
     }
 
-    /// Look up a task by coordinates.
-    #[inline]
+    /// Look up a task by coordinates (a linear scan of the tasks).
     pub fn find(&self, coords: TaskCoords) -> Option<TaskId> {
-        self.by_coords.get(&coords).copied()
+        self.tasks.iter().find(|t| t.coords == coords).map(|t| t.id)
     }
 
     /// Direct successors of a task.
@@ -476,6 +491,29 @@ impl TaskGraph {
         out.push_str("}\n");
         out
     }
+}
+
+/// A lossless, sortable key of a task's coordinates: the variant's
+/// position in the enum, then `k`, `i` and `j` (zero where absent), 32
+/// bits each. Sorting these finds duplicate tasks without hashing, in
+/// well under half the time a sort of the coordinates themselves takes.
+fn coords_key(c: TaskCoords) -> u128 {
+    use TaskCoords::*;
+    let (variant, k, i, j) = match c {
+        Potrf { k } => (0u32, k, 0, 0),
+        Trsm { k, i } => (1, k, i, 0),
+        Syrk { k, j } => (2, k, 0, j),
+        Gemm { k, i, j } => (3, k, i, j),
+        Getrf { k } => (4, k, 0, 0),
+        LuTrsmRow { k, j } => (5, k, 0, j),
+        LuTrsmCol { k, i } => (6, k, i, 0),
+        LuGemm { k, i, j } => (7, k, i, j),
+        Geqrt { k } => (8, k, 0, 0),
+        Tsqrt { k, i } => (9, k, i, 0),
+        Ormqr { k, j } => (10, k, 0, j),
+        Tsmqr { k, i, j } => (11, k, i, j),
+    };
+    u128::from(variant) << 96 | u128::from(k) << 64 | u128::from(i) << 32 | u128::from(j)
 }
 
 #[cfg(test)]

@@ -253,118 +253,61 @@ impl TaskCoords {
     }
 
     /// All data accesses of the task, output included.
+    ///
+    /// Allocates; [`TaskCoords::push_accesses`] is the same list appended
+    /// to a caller's buffer.
     pub fn accesses(self) -> Vec<Access> {
+        let mut out = Vec::with_capacity(3);
+        self.push_accesses(&mut out);
+        out
+    }
+
+    /// Append the task's accesses to `out`, in [`TaskCoords::accesses`]
+    /// order (reads before writes). This is the one definition of every
+    /// access list; the DAG builder writes it straight into its arena.
+    pub fn push_accesses(self, out: &mut Vec<Access>) {
+        use AccessMode::{Read as R, ReadWrite as RW};
+        let mut push = |row, col, mode| {
+            out.push(Access {
+                tile: Tile::new(row, col),
+                mode,
+            })
+        };
         match self {
-            TaskCoords::Potrf { k } => vec![Access {
-                tile: Tile::new(k, k),
-                mode: AccessMode::ReadWrite,
-            }],
-            TaskCoords::Trsm { k, i } => vec![
-                Access {
-                    tile: Tile::new(k, k),
-                    mode: AccessMode::Read,
-                },
-                Access {
-                    tile: Tile::new(i, k),
-                    mode: AccessMode::ReadWrite,
-                },
-            ],
-            TaskCoords::Syrk { k, j } => vec![
-                Access {
-                    tile: Tile::new(j, k),
-                    mode: AccessMode::Read,
-                },
-                Access {
-                    tile: Tile::new(j, j),
-                    mode: AccessMode::ReadWrite,
-                },
-            ],
-            TaskCoords::Gemm { k, i, j } => vec![
-                Access {
-                    tile: Tile::new(i, k),
-                    mode: AccessMode::Read,
-                },
-                Access {
-                    tile: Tile::new(j, k),
-                    mode: AccessMode::Read,
-                },
-                Access {
-                    tile: Tile::new(i, j),
-                    mode: AccessMode::ReadWrite,
-                },
-            ],
-            TaskCoords::Getrf { k } | TaskCoords::Geqrt { k } => vec![Access {
-                tile: Tile::new(k, k),
-                mode: AccessMode::ReadWrite,
-            }],
-            TaskCoords::LuTrsmRow { k, j } => vec![
-                Access {
-                    tile: Tile::new(k, k),
-                    mode: AccessMode::Read,
-                },
-                Access {
-                    tile: Tile::new(k, j),
-                    mode: AccessMode::ReadWrite,
-                },
-            ],
-            TaskCoords::LuTrsmCol { k, i } => vec![
-                Access {
-                    tile: Tile::new(k, k),
-                    mode: AccessMode::Read,
-                },
-                Access {
-                    tile: Tile::new(i, k),
-                    mode: AccessMode::ReadWrite,
-                },
-            ],
-            TaskCoords::LuGemm { k, i, j } => vec![
-                Access {
-                    tile: Tile::new(i, k),
-                    mode: AccessMode::Read,
-                },
-                Access {
-                    tile: Tile::new(k, j),
-                    mode: AccessMode::Read,
-                },
-                Access {
-                    tile: Tile::new(i, j),
-                    mode: AccessMode::ReadWrite,
-                },
-            ],
-            TaskCoords::Tsqrt { k, i } => vec![
-                Access {
-                    tile: Tile::new(k, k),
-                    mode: AccessMode::ReadWrite,
-                },
-                Access {
-                    tile: Tile::new(i, k),
-                    mode: AccessMode::ReadWrite,
-                },
-            ],
-            TaskCoords::Ormqr { k, j } => vec![
-                Access {
-                    tile: Tile::new(k, k),
-                    mode: AccessMode::Read,
-                },
-                Access {
-                    tile: Tile::new(k, j),
-                    mode: AccessMode::ReadWrite,
-                },
-            ],
-            TaskCoords::Tsmqr { k, i, j } => vec![
-                Access {
-                    tile: Tile::new(i, k),
-                    mode: AccessMode::Read,
-                },
-                Access {
-                    tile: Tile::new(k, j),
-                    mode: AccessMode::ReadWrite,
-                },
-                Access {
-                    tile: Tile::new(i, j),
-                    mode: AccessMode::ReadWrite,
-                },
-            ],
+            TaskCoords::Potrf { k } | TaskCoords::Getrf { k } | TaskCoords::Geqrt { k } => {
+                push(k, k, RW)
+            }
+            TaskCoords::Trsm { k, i } | TaskCoords::LuTrsmCol { k, i } => {
+                push(k, k, R);
+                push(i, k, RW);
+            }
+            TaskCoords::Syrk { k, j } => {
+                push(j, k, R);
+                push(j, j, RW);
+            }
+            TaskCoords::Gemm { k, i, j } => {
+                push(i, k, R);
+                push(j, k, R);
+                push(i, j, RW);
+            }
+            TaskCoords::LuTrsmRow { k, j } | TaskCoords::Ormqr { k, j } => {
+                push(k, k, R);
+                push(k, j, RW);
+            }
+            TaskCoords::LuGemm { k, i, j } => {
+                push(i, k, R);
+                push(k, j, R);
+                push(i, j, RW);
+            }
+            TaskCoords::Tsqrt { k, i } => {
+                push(k, k, RW);
+                push(i, k, RW);
+            }
+            TaskCoords::Tsmqr { k, i, j } => {
+                push(i, k, R);
+                push(k, j, RW);
+                push(i, j, RW);
+            }
         }
     }
 

@@ -92,12 +92,14 @@ impl SimResult {
 /// The simulator's data model, plugged into the execution core: tile
 /// residency over memory nodes and PCI transfers over the link model.
 ///
-/// Data-oriented layout (DESIGN.md §13): task accesses are flattened once
-/// at construction into a CSR table of precomputed flat tile indices, and
-/// single-hop transfer estimates are precomputed per platform. The hooks —
-/// called for every (ready task × worker) pair by `dmda`-style schedulers —
-/// then reduce to array walks over the flat [`Residency`] bitmasks, with
-/// no hashing and no allocation. The `HashMap`-plus-`Vec`-per-call
+/// Data-oriented layout (DESIGN.md §13): the hooks read each task's
+/// accesses from the graph's flat access arena
+/// ([`TaskGraph::accesses_of`]) and turn each tile into its flat index
+/// with [`Residency::index_of`] (one multiply-add), and single-hop
+/// transfer estimates are precomputed per platform. The hooks — called
+/// for every (ready task × worker) pair by `dmda`-style schedulers — thus
+/// reduce to array walks over the flat [`Residency`] bitmasks, with no
+/// hashing and no allocation. The `HashMap`-plus-`Vec`-per-call
 /// predecessor is frozen in [`crate::reference`] as the benchmark baseline.
 struct SimData<'a> {
     platform: &'a Platform,
