@@ -10,18 +10,18 @@
 //! * hint conformance — declare the TRSM-triangle hint parameters and
 //!   off-class placements of pinned TRSMs are flagged;
 //! * queue discipline — declare `dmda` (FIFO) or `dmdas` (sorted) and the
-//!   per-task dispatch records are audited for priority inversions;
+//!   per-task spans are audited for priority inversions;
 //! * idle gaps — workers idling over a startable queued task;
 //! * replay divergence — give the prescribed [`Schedule`] and the trace's
 //!   placements and per-worker orders are compared against the plan;
 //! * span consistency — give the run's [`ObsReport`] and its phase spans
 //!   are checked internally and against the plain trace.
 //!
-//! The queue-discipline and idle-gap rules consume per-task records
-//! `(seq, prio, queued, data_ready, start)`. With [`Linter::with_obs`]
-//! they read those straight from the structured [`ObsReport`] spans; with
-//! only a plain trace they reconstruct them by joining the dispatcher's
-//! `QueueEvent` stream against the execution events.
+//! The queue-discipline and idle-gap rules read the trace's per-task
+//! phase spans ([`Trace::spans`]: each execution joined with its last
+//! enqueue) — the same derivation the [`ObsReport`] is built from, so a
+//! report changes no verdict: [`Linter::with_obs`] only arms the
+//! span-consistency rule.
 
 use crate::diag::{Diagnostic, Report, Rule, Severity};
 use crate::mc::Invariant;
@@ -29,7 +29,7 @@ use hetchol_bounds::cert::{Rat, VerifiedBounds};
 use hetchol_bounds::{BoundSet, CertifiedBoundSet};
 use hetchol_core::dag::TaskGraph;
 use hetchol_core::fault::RunOutcome;
-use hetchol_core::obs::ObsReport;
+use hetchol_core::obs::{ObsReport, TaskSpan};
 use hetchol_core::platform::{ClassId, Platform};
 use hetchol_core::profiles::TimingProfile;
 use hetchol_core::schedule::{DurationCheck, Schedule};
@@ -69,18 +69,6 @@ pub struct Linter<'a> {
     idle_gap_threshold: Time,
     obs: Option<&'a ObsReport>,
     mc_witness: Option<(Invariant, RunOutcome)>,
-}
-
-/// One task's dispatch-to-start record, the common input of the
-/// queue-discipline and idle-gap rules.
-#[derive(Copy, Clone, Debug)]
-struct TaskRecord {
-    seq: u64,
-    prio: i64,
-    task: TaskId,
-    queued: Time,
-    data_ready: Time,
-    start: Time,
 }
 
 impl<'a> Linter<'a> {
@@ -159,11 +147,10 @@ impl<'a> Linter<'a> {
         self
     }
 
-    /// Feed the run's structured observability report: the
-    /// queue-discipline and idle-gap rules then read their per-task
-    /// records straight from the phase spans (strictly richer than the
-    /// `QueueEvent` reconstruction), and the span-consistency rule is
-    /// armed. An [`ObsReport`] from a disabled sink is ignored.
+    /// Arm the span-consistency rule against the run's structured
+    /// observability report: its spans must be internally ordered and
+    /// equal the ones the trace derives. An [`ObsReport`] from a disabled
+    /// sink is ignored.
     pub fn with_obs(mut self, obs: &'a ObsReport) -> Self {
         self.obs = Some(obs);
         self
@@ -206,58 +193,23 @@ impl<'a> Linter<'a> {
         let schedule = trace.to_schedule();
         let mut report = self.lint_schedule(&schedule);
         let mut diags = std::mem::take(&mut report.diagnostics);
-        let records = self.task_records(trace);
-        self.check_priority_inversion(&records, &mut diags);
-        self.check_idle_gaps(trace, &records, &mut diags);
+        let spans = trace.spans();
+        // Spans are sorted by `(start, seq)`, so each worker's list is too.
+        let mut by_worker: Vec<Vec<&TaskSpan>> = vec![Vec::new(); trace.n_workers];
+        for s in &spans {
+            if let Some(list) = by_worker.get_mut(s.worker) {
+                list.push(s);
+            }
+        }
+        self.check_priority_inversion(&by_worker, &mut diags);
+        self.check_idle_gaps(trace, &by_worker, &mut diags);
         if let Some(prescribed) = self.prescribed {
             self.check_replay(trace, prescribed, &mut diags);
         }
-        self.check_span_consistency(trace, &mut diags);
+        self.check_span_consistency(trace, &spans, &mut diags);
         self.check_recovery_consistency(trace, &mut diags);
         self.check_mc_witness(trace, &mut diags);
         finish(diags)
-    }
-
-    /// The per-worker dispatch records the queue-discipline and idle-gap
-    /// rules run on: read from the observability spans when armed, else
-    /// reconstructed by joining `QueueEvent`s with execution events.
-    /// Sorted by `(start, seq)` within each worker.
-    fn task_records(&self, trace: &Trace) -> Vec<Vec<TaskRecord>> {
-        let mut per_worker: Vec<Vec<TaskRecord>> = vec![Vec::new(); trace.n_workers];
-        if let Some(obs) = self.obs.filter(|o| o.enabled) {
-            for s in &obs.spans {
-                if s.worker < trace.n_workers {
-                    per_worker[s.worker].push(TaskRecord {
-                        seq: s.seq,
-                        prio: s.prio,
-                        task: s.task,
-                        queued: s.queued,
-                        data_ready: s.data_ready,
-                        start: s.start,
-                    });
-                }
-            }
-        } else {
-            for qe in &trace.queue_events {
-                let Some(ev) = trace.events.iter().find(|e| e.task == qe.task) else {
-                    continue; // enqueued but never executed: set rules cover it
-                };
-                if qe.worker < trace.n_workers {
-                    per_worker[qe.worker].push(TaskRecord {
-                        seq: qe.seq,
-                        prio: qe.prio,
-                        task: qe.task,
-                        queued: qe.at,
-                        data_ready: qe.data_ready,
-                        start: ev.start,
-                    });
-                }
-            }
-        }
-        for records in &mut per_worker {
-            records.sort_by_key(|r| (r.start, r.seq));
-        }
-        per_worker
     }
 
     /// The fail-fast validator's rules, exhaustively.
@@ -557,13 +509,13 @@ impl<'a> Linter<'a> {
         }
     }
 
-    /// Audit per-worker start order against the dispatch records under
-    /// the declared discipline.
-    fn check_priority_inversion(&self, records: &[Vec<TaskRecord>], diags: &mut Vec<Diagnostic>) {
+    /// Audit per-worker start order against the enqueue records under the
+    /// declared discipline.
+    fn check_priority_inversion(&self, by_worker: &[Vec<&TaskSpan>], diags: &mut Vec<Diagnostic>) {
         let Some(discipline) = self.queue_discipline else {
             return;
         };
-        for (worker, evs) in records.iter().enumerate() {
+        for (worker, evs) in by_worker.iter().enumerate() {
             for (i, b) in evs.iter().enumerate() {
                 // Find an earlier-started task that was enqueued after this
                 // one yet outranked it under the declared discipline.
@@ -607,10 +559,10 @@ impl<'a> Linter<'a> {
     fn check_idle_gaps(
         &self,
         trace: &Trace,
-        records: &[Vec<TaskRecord>],
+        by_worker: &[Vec<&TaskSpan>],
         diags: &mut Vec<Diagnostic>,
     ) {
-        for (worker, worker_records) in records.iter().enumerate().take(trace.n_workers) {
+        for (worker, spans) in by_worker.iter().enumerate() {
             let evs = trace.worker_events(worker);
             // Gaps: from t=0 to the first start, and between executions.
             let mut gaps: Vec<(Time, Time)> = Vec::new();
@@ -625,7 +577,7 @@ impl<'a> Linter<'a> {
                 if g1 - g0 <= self.idle_gap_threshold {
                     continue;
                 }
-                for r in worker_records {
+                for r in spans {
                     if r.queued > g0 || r.data_ready > g0 {
                         continue; // not yet startable when the gap opened
                     }
@@ -647,9 +599,14 @@ impl<'a> Linter<'a> {
         }
     }
 
-    /// The observability spans must be internally consistent and agree
-    /// with the plain trace (armed by [`Linter::with_obs`]).
-    fn check_span_consistency(&self, trace: &Trace, diags: &mut Vec<Diagnostic>) {
+    /// The observability spans must be internally consistent and equal the
+    /// spans the trace derives (armed by [`Linter::with_obs`]).
+    fn check_span_consistency(
+        &self,
+        trace: &Trace,
+        derived: &[TaskSpan],
+        diags: &mut Vec<Diagnostic>,
+    ) {
         let Some(obs) = self.obs.filter(|o| o.enabled) else {
             return;
         };
@@ -666,6 +623,21 @@ impl<'a> Linter<'a> {
                 ),
             });
         }
+        let n_tasks = derived
+            .iter()
+            .map(|d| d.task.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut by_task: Vec<Option<&TaskSpan>> = vec![None; n_tasks];
+        for d in derived {
+            by_task[d.task.index()] = Some(d);
+        }
+        let describe = |s: &TaskSpan| {
+            format!(
+                "(worker {}, queued {}, data ready {}, [{}, {}), seq {}, prio {})",
+                s.worker, s.queued, s.data_ready, s.start, s.end, s.seq, s.prio
+            )
+        };
         for s in &obs.spans {
             if s.end < s.start || s.queued > s.start {
                 diags.push(Diagnostic {
@@ -680,7 +652,7 @@ impl<'a> Linter<'a> {
                 });
                 continue;
             }
-            match trace.events.iter().find(|e| e.task == s.task) {
+            match by_task.get(s.task.index()).copied().flatten() {
                 None => diags.push(Diagnostic {
                     rule: Rule::SpanConsistency,
                     severity: Severity::Error,
@@ -688,19 +660,18 @@ impl<'a> Linter<'a> {
                     worker: Some(s.worker),
                     message: format!("{} has a span but no trace event", s.task),
                 }),
-                Some(e) if (e.worker, e.start, e.end) != (s.worker, s.start, s.end) => {
-                    diags.push(Diagnostic {
-                        rule: Rule::SpanConsistency,
-                        severity: Severity::Error,
-                        task: Some(s.task),
-                        worker: Some(s.worker),
-                        message: format!(
-                            "{}: span (worker {}, [{}, {})) disagrees with trace event \
-                             (worker {}, [{}, {}))",
-                            s.task, s.worker, s.start, s.end, e.worker, e.start, e.end
-                        ),
-                    });
-                }
+                Some(d) if d != s => diags.push(Diagnostic {
+                    rule: Rule::SpanConsistency,
+                    severity: Severity::Error,
+                    task: Some(s.task),
+                    worker: Some(s.worker),
+                    message: format!(
+                        "{}: span {} disagrees with the trace's {}",
+                        s.task,
+                        describe(s),
+                        describe(d)
+                    ),
+                }),
                 Some(_) => {}
             }
         }

@@ -11,7 +11,7 @@ use hetchol_core::schedule::{DurationCheck, Schedule, ScheduleEntry};
 use hetchol_core::task::{TaskCoords, TaskId};
 use hetchol_core::time::Time;
 use hetchol_core::trace::{QueueEvent, Trace, TraceEvent};
-use hetchol_sched::Dmdas;
+use hetchol_sched::{Dmda, Dmdas};
 use hetchol_sim::{simulate_with, SimOptions};
 use proptest::prelude::*;
 
@@ -462,6 +462,79 @@ fn tampered_trace_trips_span_consistency() {
     assert!(report.by_rule(Rule::SpanConsistency).is_empty());
 }
 
+/// Supplying the run's report arms only the span-consistency rule: on
+/// seeded-fault simulations, where retries and dead workers' queues enqueue
+/// tasks more than once, linting with and without the report must give
+/// identical verdicts.
+#[test]
+fn obs_report_changes_no_verdict_on_seeded_fault_runs() {
+    use hetchol_core::fault::{FaultEventKind, FaultPlan, RetryPolicy};
+    use hetchol_core::obs::ObsSink;
+    use hetchol_core::scheduler::Scheduler;
+    let platforms = [
+        Platform::mirage(),
+        Platform::mirage().without_comm(),
+        Platform::homogeneous(1),
+        Platform::homogeneous(3),
+    ];
+    let profile = TimingProfile::mirage();
+    let mut retried_runs = 0;
+    for n in 2..=8 {
+        let graph = TaskGraph::cholesky(n);
+        for (p, platform) in platforms.iter().enumerate() {
+            for sorted in [false, true] {
+                for seed in 0..20 {
+                    let plan = FaultPlan::seeded(seed, graph.len(), platform.n_workers());
+                    let simulate = |sched: &mut dyn Scheduler| {
+                        hetchol_sim::simulate_resilient(
+                            &graph,
+                            platform,
+                            &profile,
+                            sched,
+                            &SimOptions::default(),
+                            ObsSink::enabled(),
+                            &plan,
+                            &RetryPolicy::default(),
+                        )
+                        .expect("seeded plans never kill every worker")
+                    };
+                    let r = if sorted {
+                        simulate(&mut Dmdas::new())
+                    } else {
+                        simulate(&mut Dmda::new())
+                    };
+                    if r.trace
+                        .fault_events
+                        .iter()
+                        .any(|fe| matches!(fe.kind, FaultEventKind::Retried { .. }))
+                    {
+                        retried_runs += 1;
+                    }
+                    let linter = || {
+                        Linter::new(&graph, platform, &profile)
+                            .duration_check(DurationCheck::Loose)
+                            .with_queue_discipline(if sorted {
+                                QueueDiscipline::Sorted
+                            } else {
+                                QueueDiscipline::Fifo
+                            })
+                    };
+                    let plain = linter().lint_trace(&r.trace);
+                    let with_obs = linter().with_obs(&r.obs).lint_trace(&r.trace);
+                    assert_eq!(
+                        plain,
+                        with_obs,
+                        "n={n} platform {p} sorted={sorted} seed={seed}:\n{}\n{}",
+                        plain.to_json(),
+                        with_obs.to_json()
+                    );
+                }
+            }
+        }
+    }
+    assert!(retried_runs > 0, "no seeded plan retried a task");
+}
+
 // --- Certified bound verdicts -------------------------------------------
 
 use hetchol_analyze::Severity;
@@ -684,6 +757,7 @@ fn a_failed_attempt_with_no_retry_or_abort_is_flagged() {
             worker: 0,
             attempt: 1,
             fault: FaultKind::Transient,
+            start: makespan,
         },
     });
     let report = Linter::new(&graph, &platform, &profile).lint_trace(&trace);

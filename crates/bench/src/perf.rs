@@ -21,7 +21,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use hetchol_core::dag::TaskGraph;
-use hetchol_core::obs::{parse_json, JsonValue, ObsSink};
+use hetchol_core::json::{parse_json, JsonValue};
+use hetchol_core::obs::ObsSink;
 use hetchol_core::platform::Platform;
 use hetchol_core::profiles::TimingProfile;
 use hetchol_sim::reference::simulate_reference;

@@ -20,14 +20,14 @@ fn certify_json_report_is_golden_and_failure_free() {
          \"leaves\":6,\"tree_complete\":true}"
     );
     for line in &lines {
-        let doc = hetchol_core::obs::parse_json(line).expect("each line is valid JSON");
+        let doc = hetchol_core::json::parse_json(line).expect("each line is valid JSON");
         let obj = match doc {
-            hetchol_core::obs::JsonValue::Obj(o) => o,
+            hetchol_core::json::JsonValue::Obj(o) => o,
             other => panic!("line is not an object: {other:?}"),
         };
         assert!(obj.iter().any(|(k, _)| k == "platform"));
         assert!(obj.iter().any(|(k, v)| k == "status"
-            && matches!(v, hetchol_core::obs::JsonValue::Str(s) if s == "verified")));
+            && matches!(v, hetchol_core::json::JsonValue::Str(s) if s == "verified")));
     }
 }
 

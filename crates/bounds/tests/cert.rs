@@ -89,7 +89,7 @@ fn certificate_json_names_kind_bound_and_leaves() {
     assert!(json.contains("\"tree_complete\":"), "{json}");
     assert!(json.contains("\"leaves\":["), "{json}");
     // The repo's JSON validator must accept the hand-rolled output.
-    hetchol_core::obs::parse_json(&json).expect("certificate JSON parses");
+    hetchol_core::json::parse_json(&json).expect("certificate JSON parses");
 }
 
 fn random_platform_profile(

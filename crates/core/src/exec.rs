@@ -24,7 +24,8 @@
 //!   task through a [`Scheduler`] into the right queue via a reused
 //!   availability scratch buffer;
 //! * [`TraceRecorder`] — the event sink both engines feed, producing the
-//!   common [`Trace`].
+//!   common [`Trace`] — the one record of a run: the observability report
+//!   is derived from it at finish ([`TraceRecorder::finish_with_obs`]).
 
 use crate::dag::TaskGraph;
 use crate::fault::FaultEvent;
@@ -486,7 +487,8 @@ impl<H: EngineHooks + ?Sized> ExecutionView for LiveQueueView<'_, H> {
 /// the [`QueueView`], let the scheduler assign a worker, start the data
 /// prefetch via [`EngineHooks::data_ready`], enqueue under the
 /// scheduler's queue discipline, and log a [`QueueEvent`] so the linter
-/// can audit the decision post hoc. Returns the chosen worker.
+/// and the observability report can audit the decision post hoc. Returns
+/// the chosen worker.
 pub fn dispatch<H: EngineHooks + ?Sized>(
     task: TaskId,
     now: Time,
@@ -631,16 +633,14 @@ fn dispatch_inner<H: EngineHooks + ?Sized>(
         at: now,
         data_ready,
     };
-    recorder
-        .obs
-        .on_dispatch(ctx.graph.task(task).kernel(), &event, queues.depth(w));
+    recorder.obs.sample_queue_depth(w, queues.depth(w));
     recorder.record_enqueue(event);
     Some(w)
 }
 
 /// Event sink shared by the engines, producing the common [`Trace`] and,
-/// when an [`ObsSink`] was handed in at construction, the structured
-/// [`ObsReport`].
+/// when an enabled [`ObsSink`] was handed in at construction, the
+/// structured [`ObsReport`] derived from it.
 #[derive(Debug)]
 pub struct TraceRecorder {
     n_workers: usize,
@@ -658,9 +658,10 @@ impl TraceRecorder {
         TraceRecorder::with_obs(n_workers, n_tasks, ObsSink::disabled())
     }
 
-    /// Empty recorder feeding `obs` alongside the plain trace.
+    /// Empty recorder whose `obs` sink samples the gauges the trace
+    /// cannot hold.
     pub fn with_obs(n_workers: usize, n_tasks: usize, mut obs: ObsSink) -> TraceRecorder {
-        obs.prepare(n_workers, n_tasks);
+        obs.prepare(n_workers);
         TraceRecorder {
             n_workers,
             events: Vec::with_capacity(n_tasks),
@@ -677,7 +678,7 @@ impl TraceRecorder {
         self.fault_events.extend(events);
     }
 
-    /// The observability sink, for engine-specific counters (condvar
+    /// The observability sink, for the engine-specific gauges (condvar
     /// wakeups, backfill pops) that the shared core cannot see itself.
     #[inline]
     pub fn obs_mut(&mut self) -> &mut ObsSink {
@@ -700,12 +701,10 @@ impl TraceRecorder {
         start: Time,
         end: Time,
     ) {
-        let kernel = graph.task(task).kernel();
-        self.obs.on_exec(task, kernel, worker, start, end);
         self.events.push(TraceEvent {
             worker,
             task,
-            kernel,
+            kernel: graph.task(task).kernel(),
             start,
             end,
         });
@@ -738,29 +737,29 @@ impl TraceRecorder {
             .unwrap_or(Time::ZERO)
     }
 
-    /// Finalize into the common trace plus its makespan, discarding any
-    /// observability record (see [`TraceRecorder::finish_with_obs`]).
+    /// Finalize into the common trace plus its makespan, discarding the
+    /// sink's gauges (see [`TraceRecorder::finish_with_obs`]).
     pub fn finish(self) -> (Trace, Time) {
-        let (trace, makespan, _) = self.finish_with_obs();
+        let makespan = self.makespan();
+        let trace = Trace {
+            n_workers: self.n_workers,
+            events: self.events,
+            transfers: self.transfers,
+            queue_events: self.queue_events,
+            fault_events: self.fault_events,
+        };
         (trace, makespan)
     }
 
     /// Finalize into the common trace, its makespan, and the structured
-    /// observability report (empty when the sink was disabled).
-    pub fn finish_with_obs(self) -> (Trace, Time, ObsReport) {
-        let makespan = self.makespan();
-        let obs = self.obs.finish(self.n_workers, &self.transfers);
-        (
-            Trace {
-                n_workers: self.n_workers,
-                events: self.events,
-                transfers: self.transfers,
-                queue_events: self.queue_events,
-                fault_events: self.fault_events,
-            },
-            makespan,
-            obs,
-        )
+    /// observability report derived from that trace (empty when the sink
+    /// was disabled). `graph` is the graph the run executed; the report
+    /// reads each task's kernel from it.
+    pub fn finish_with_obs(mut self, graph: &TaskGraph) -> (Trace, Time, ObsReport) {
+        let obs = std::mem::take(&mut self.obs);
+        let (trace, makespan) = self.finish();
+        let report = obs.finish(&trace, graph);
+        (trace, makespan, report)
     }
 }
 

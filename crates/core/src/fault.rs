@@ -739,7 +739,8 @@ pub enum FaultEventKind {
         /// The dead worker.
         worker: WorkerId,
     },
-    /// An attempt of `task` on `worker` failed.
+    /// An attempt of `task` on `worker` failed (the event's timestamp is
+    /// when the failure was recorded).
     AttemptFailed {
         /// The task.
         task: TaskId,
@@ -749,6 +750,9 @@ pub enum FaultEventKind {
         attempt: u32,
         /// Failure kind.
         fault: FaultKind,
+        /// When the attempt started (equal to the event's timestamp for
+        /// an attempt that never occupied its worker).
+        start: Time,
     },
     /// `task` was re-dispatched for attempt `attempt` after `backoff`.
     Retried {
@@ -952,15 +956,17 @@ impl FaultState {
         self.slowdown.get(worker).copied().unwrap_or(1.0)
     }
 
-    /// Record a failed attempt of `task` on `worker` at `now`. Returns
-    /// `Some(backoff)` when the task should be retried after that delay,
-    /// or `None` when its retry budget is exhausted (the engine must abort
-    /// with [`FailureCause::RetriesExhausted`]).
+    /// Record that the attempt of `task` on `worker` started at `start`
+    /// failed at `now`. Returns `Some(backoff)` when the task should be
+    /// retried after that delay, or `None` when its retry budget is
+    /// exhausted (the engine must abort with
+    /// [`FailureCause::RetriesExhausted`]).
     pub fn record_failure(
         &mut self,
         task: TaskId,
         worker: WorkerId,
         kind: FaultKind,
+        start: Time,
         now: Time,
     ) -> Option<Time> {
         let attempt = self.attempts_of(task).max(1);
@@ -971,6 +977,7 @@ impl FaultState {
                 worker,
                 attempt,
                 fault: kind,
+                start,
             },
         });
         if attempt >= self.policy.max_attempts {
@@ -1106,11 +1113,11 @@ mod tests {
         let mut s = FaultState::new(&plan, policy, 1, 1);
         s.begin_attempt(TaskId(0));
         assert!(s
-            .record_failure(TaskId(0), 0, FaultKind::Transient, Time::ZERO)
+            .record_failure(TaskId(0), 0, FaultKind::Transient, Time::ZERO, Time::ZERO)
             .is_some());
         s.begin_attempt(TaskId(0));
         assert!(s
-            .record_failure(TaskId(0), 0, FaultKind::Transient, Time::ZERO)
+            .record_failure(TaskId(0), 0, FaultKind::Transient, Time::ZERO, Time::ZERO)
             .is_none());
         let events = s.take_events();
         assert!(events.iter().any(|e| matches!(

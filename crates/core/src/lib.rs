@@ -34,12 +34,13 @@
 //!   [`fault::RunOutcome`], the [`fault::FaultEvent`] audit log) shared by
 //!   both engines' resilient entry points.
 //! * [`trace`] — per-worker execution traces (Figure 12 of the paper),
-//!   idle-time accounting and ASCII Gantt rendering.
+//!   idle-time accounting, ASCII Gantt rendering and per-task phase spans
+//!   ([`trace::Trace::spans`]); the one record both engines write.
 //! * [`obs`] — structured observability: per-task phase spans
 //!   ([`obs::TaskSpan`]), the lock-cheap counter registry
 //!   ([`obs::ObsCounters`]) and the Chrome-trace / utilization / summary
-//!   exporters, recorded by both engines through the shared core when an
-//!   [`obs::ObsSink`] is enabled at run construction.
+//!   exporters, derived from the trace when an [`obs::ObsSink`] is
+//!   enabled at run construction.
 //! * [`metrics`] — GFLOP/s conversions and result-series containers used by
 //!   the reproduction harness.
 //! * [`json`] — the one hand-rolled JSON value module (emit + parse) every

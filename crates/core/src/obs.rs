@@ -4,29 +4,36 @@
 //! The paper's whole diagnostic method is trace-driven — Figure 12's
 //! per-worker Gantt views are what reveal *why* `dmda`/`dmdas` leave GPU
 //! idle time. The plain [`crate::trace::Trace`] records *what executed
-//! when*; this module records *why the rest of the time was lost*: for
+//! when*; this module explains *why the rest of the time was lost*: for
 //! every task a [`TaskSpan`] with its phase segments
 //! (submitted → queued → data-transfer → executing → retired), and a
 //! lock-cheap counter registry ([`ObsCounters`]: dispatches per
 //! kernel × worker, queue depths, backfill pops, condvar wakeups, transfer
-//! totals).
+//! totals, fault counts).
 //!
-//! Both engines emit spans from the one shared code path: the dispatcher
-//! ([`crate::exec::dispatch`]) opens a span when it enqueues a ready task
-//! and [`crate::exec::TraceRecorder::record`] closes it at retirement, so
-//! the simulator and the threaded runtime cannot drift apart in what they
-//! report.
+//! The trace is the one record the engines write. The [`ObsReport`] is
+//! derived from it when the run finishes
+//! ([`crate::exec::TraceRecorder::finish_with_obs`]): each execution is
+//! joined with its last enqueue ([`crate::trace::Trace::spans`], which the
+//! linter reads too), and the counters and fault lists are read off the
+//! trace's queue, transfer and fault logs. The simulator and the threaded
+//! runtime therefore cannot drift apart in what they report, and the
+//! report cannot drift from the trace. The [`ObsSink`] records only the
+//! three gauges the trace cannot reconstruct.
 //!
 //! Observability is **zero-cost when disabled**: an [`ObsSink`] is either
 //! a no-op (`ObsSink::disabled()`, the default — one branch per hook) or
-//! an owned recording state (`ObsSink::enabled()`), selected once at run
+//! an owned gauge registry (`ObsSink::enabled()`), selected once at run
 //! construction.
 
+use crate::dag::TaskGraph;
+use crate::fault::FaultEventKind;
+use crate::json::{escape_into, parse_json, JsonValue};
 use crate::kernel::Kernel;
 use crate::platform::WorkerId;
 use crate::task::TaskId;
 use crate::time::Time;
-use crate::trace::{QueueEvent, TransferEvent};
+use crate::trace::Trace;
 use std::fmt::Write as _;
 
 /// One task's life cycle through the engine, as phase timestamps.
@@ -85,10 +92,12 @@ impl TaskSpan {
 
 /// The lock-cheap counter/gauge registry.
 ///
-/// All counters are plain integers bumped while the caller already holds
-/// whatever synchronisation the engine uses (the simulator is single
-/// threaded; the runtime's hooks all run under its one state lock), so
-/// recording never adds a lock acquisition of its own.
+/// The three gauges the trace cannot reconstruct (`max_queue_depth`,
+/// `backfills`, `wakeups`) are plain integers the [`ObsSink`] hooks bump
+/// while the caller already holds whatever synchronisation the engine
+/// uses (the simulator is single threaded; the runtime's hooks all run
+/// under its one state lock), so recording never adds a lock acquisition
+/// of its own. Every other counter is derived from the trace at finish.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ObsCounters {
     /// Tasks dispatched per worker × kernel, flattened as
@@ -143,8 +152,8 @@ impl ObsCounters {
     }
 }
 
-/// One failed task attempt, as the observability layer records it —
-/// rendered as a `[retrying]` slice in the Chrome trace.
+/// One failed task attempt, read from the trace's fault log — rendered as
+/// a `[retrying]` slice in the Chrome trace.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct FailedAttempt {
     /// The task whose attempt failed.
@@ -159,71 +168,21 @@ pub struct FailedAttempt {
     pub end: Time,
     /// 1-based attempt number.
     pub attempt: u32,
-    /// Failure-kind label (`transient` / `numerical` / `timeout` /
-    /// `worker-lost`; a string so this module stays decoupled from
-    /// [`crate::fault`]).
+    /// Failure-kind label ([`FaultKind::label`](crate::fault::FaultKind::label):
+    /// `transient` / `numerical` / `timeout` / `worker-lost`).
     pub kind: &'static str,
 }
 
-/// A task's in-flight recording slot.
-#[derive(Copy, Clone, Debug)]
-struct SpanSlot {
-    kernel: Kernel,
-    worker: WorkerId,
-    prio: i64,
-    seq: u64,
-    queued: Time,
-    data_ready: Time,
-    start: Time,
-    end: Time,
-    dispatched: bool,
-    executed: bool,
-}
-
-impl Default for SpanSlot {
-    fn default() -> SpanSlot {
-        SpanSlot {
-            kernel: Kernel::Potrf,
-            worker: 0,
-            prio: 0,
-            seq: 0,
-            queued: Time::ZERO,
-            data_ready: Time::ZERO,
-            start: Time::ZERO,
-            end: Time::ZERO,
-            dispatched: false,
-            executed: false,
-        }
-    }
-}
-
-/// Recording state behind an enabled [`ObsSink`].
-#[derive(Clone, Debug, Default)]
-struct ObsState {
-    n_workers: usize,
-    slots: Vec<SpanSlot>,
-    counters: ObsCounters,
-    failed: Vec<FailedAttempt>,
-    deaths: Vec<(WorkerId, Time)>,
-}
-
-impl ObsState {
-    fn slot(&mut self, task: TaskId) -> &mut SpanSlot {
-        let idx = task.index();
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, SpanSlot::default);
-        }
-        &mut self.slots[idx]
-    }
-}
-
-/// The observability event sink both engines feed through the shared
-/// execution core. Either a no-op ([`ObsSink::disabled`], the default) or
-/// an owned recording state ([`ObsSink::enabled`]); the choice is made
-/// once, at run construction, so the disabled path costs one branch per
-/// hook and allocates nothing.
+/// The observability sink both engines feed through the shared execution
+/// core. It holds only the three gauges a [`Trace`] cannot reconstruct —
+/// queue depth sampled at each enqueue, backfill pops and condvar
+/// wakeups; everything else in the [`ObsReport`] is derived from the trace
+/// when the run finishes. Either a no-op ([`ObsSink::disabled`], the
+/// default) or an owned counter registry ([`ObsSink::enabled`]); the
+/// choice is made once, at run construction, so the disabled path costs
+/// one branch per hook and allocates nothing.
 #[derive(Debug, Default)]
-pub struct ObsSink(Option<Box<ObsState>>);
+pub struct ObsSink(Option<Box<ObsCounters>>);
 
 impl ObsSink {
     /// The no-op sink: every hook is a single `None` check.
@@ -241,109 +200,30 @@ impl ObsSink {
         self.0.is_some()
     }
 
-    /// Size the registry for the run (called by the trace recorder).
-    pub(crate) fn prepare(&mut self, n_workers: usize, n_tasks: usize) {
-        if let Some(s) = &mut self.0 {
-            s.n_workers = n_workers;
-            s.slots = vec![SpanSlot::default(); n_tasks];
-            s.counters = ObsCounters::sized(n_workers);
+    /// Size the gauges for the run (called by the trace recorder).
+    pub(crate) fn prepare(&mut self, n_workers: usize) {
+        if let Some(c) = &mut self.0 {
+            **c = ObsCounters::sized(n_workers);
         }
     }
 
-    /// Open a span: the dispatcher enqueued `event.task` (called by
-    /// [`crate::exec::dispatch`] right after the queue insert).
+    /// Sample `worker`'s queue depth right after an enqueue (called by
+    /// [`crate::exec::dispatch`]).
     #[inline]
-    pub fn on_dispatch(&mut self, kernel: Kernel, event: &QueueEvent, queue_depth: usize) {
-        if let Some(s) = &mut self.0 {
-            let idx = event.worker * Kernel::COUNT + kernel.index();
-            if let Some(c) = s.counters.dispatched.get_mut(idx) {
-                *c += 1;
+    pub fn sample_queue_depth(&mut self, worker: WorkerId, depth: usize) {
+        if let Some(c) = &mut self.0 {
+            if let Some(d) = c.max_queue_depth.get_mut(worker) {
+                *d = (*d).max(depth as u64);
             }
-            if let Some(d) = s.counters.max_queue_depth.get_mut(event.worker) {
-                *d = (*d).max(queue_depth as u64);
-            }
-            let slot = s.slot(event.task);
-            slot.kernel = kernel;
-            slot.worker = event.worker;
-            slot.prio = event.prio;
-            slot.seq = event.seq;
-            slot.queued = event.at;
-            slot.data_ready = event.data_ready;
-            slot.dispatched = true;
-        }
-    }
-
-    /// Close a span: `task` executed over `[start, end)` on `worker`.
-    #[inline]
-    pub fn on_exec(
-        &mut self,
-        task: TaskId,
-        kernel: Kernel,
-        worker: WorkerId,
-        start: Time,
-        end: Time,
-    ) {
-        if let Some(s) = &mut self.0 {
-            let slot = s.slot(task);
-            slot.kernel = kernel;
-            slot.worker = worker;
-            slot.start = start;
-            slot.end = end;
-            slot.executed = true;
-        }
-    }
-
-    /// Record one failed attempt of `task` (resilient runs; called by the
-    /// engines when an injected or watchdog failure fires).
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn on_attempt_failed(
-        &mut self,
-        task: TaskId,
-        kernel: Kernel,
-        worker: WorkerId,
-        start: Time,
-        end: Time,
-        attempt: u32,
-        kind: &'static str,
-    ) {
-        if let Some(s) = &mut self.0 {
-            s.counters.failures += 1;
-            s.failed.push(FailedAttempt {
-                task,
-                kernel,
-                worker,
-                start,
-                end,
-                attempt,
-                kind,
-            });
-        }
-    }
-
-    /// Count one retry re-dispatch.
-    #[inline]
-    pub fn count_retry(&mut self) {
-        if let Some(s) = &mut self.0 {
-            s.counters.retries += 1;
-        }
-    }
-
-    /// Record the permanent loss of `worker` at `at`.
-    #[inline]
-    pub fn count_worker_lost(&mut self, worker: WorkerId, at: Time) {
-        if let Some(s) = &mut self.0 {
-            s.counters.workers_lost += 1;
-            s.deaths.push((worker, at));
         }
     }
 
     /// Count one condvar wakeup of `worker` (threaded runtime).
     #[inline]
     pub fn count_wakeup(&mut self, worker: WorkerId) {
-        if let Some(s) = &mut self.0 {
-            if let Some(c) = s.counters.wakeups.get_mut(worker) {
-                *c += 1;
+        if let Some(c) = &mut self.0 {
+            if let Some(w) = c.wakeups.get_mut(worker) {
+                *w += 1;
             }
         }
     }
@@ -355,56 +235,63 @@ impl ObsSink {
         if skipped == 0 {
             return;
         }
-        if let Some(s) = &mut self.0 {
-            if let Some(c) = s.counters.backfills.get_mut(worker) {
-                *c += 1;
+        if let Some(c) = &mut self.0 {
+            if let Some(b) = c.backfills.get_mut(worker) {
+                *b += 1;
             }
         }
     }
 
-    /// Finalize into a report, folding the engine's transfer log into the
-    /// counters. A disabled sink yields the empty report.
-    pub(crate) fn finish(self, n_workers: usize, transfers: &[TransferEvent]) -> ObsReport {
-        let Some(mut s) = self.0 else {
-            return ObsReport::empty(n_workers);
+    /// Finalize into a report: the gauges recorded here plus everything
+    /// derived from `trace` — the spans ([`Trace::spans`]), dispatches per
+    /// worker × kernel, transfers, and the failed attempts, retries and
+    /// worker deaths of its fault log. `graph` supplies each task's
+    /// kernel. A disabled sink yields the empty report.
+    pub(crate) fn finish(self, trace: &Trace, graph: &TaskGraph) -> ObsReport {
+        let Some(mut counters) = self.0.map(|c| *c) else {
+            return ObsReport::empty(trace.n_workers);
         };
-        s.counters.transfers = transfers.len() as u64;
-        s.counters.transfer_time = transfers.iter().map(|t| t.end - t.start).sum();
-        let mut spans: Vec<TaskSpan> = s
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.executed)
-            .map(|(idx, slot)| TaskSpan {
-                task: TaskId(idx as u32),
-                kernel: slot.kernel,
-                worker: slot.worker,
-                prio: slot.prio,
-                seq: slot.seq,
-                // A span closed without a dispatch (a recorder fed
-                // directly, as some tests do) degenerates to exec-only.
-                queued: if slot.dispatched {
-                    slot.queued
-                } else {
-                    slot.start
-                },
-                data_ready: if slot.dispatched {
-                    slot.data_ready
-                } else {
-                    slot.start
-                },
-                start: slot.start,
-                end: slot.end,
-            })
-            .collect();
-        spans.sort_by_key(|sp| (sp.start, sp.seq));
+        for q in &trace.queue_events {
+            let idx = q.worker * Kernel::COUNT + graph.task(q.task).kernel().index();
+            if let Some(c) = counters.dispatched.get_mut(idx) {
+                *c += 1;
+            }
+        }
+        counters.transfers = trace.transfers.len() as u64;
+        counters.transfer_time = trace.transfers.iter().map(|t| t.end - t.start).sum();
+        let mut failed_attempts = Vec::new();
+        let mut worker_deaths = Vec::new();
+        for fe in &trace.fault_events {
+            match fe.kind {
+                FaultEventKind::AttemptFailed {
+                    task,
+                    worker,
+                    attempt,
+                    fault,
+                    start,
+                } => failed_attempts.push(FailedAttempt {
+                    task,
+                    kernel: graph.task(task).kernel(),
+                    worker,
+                    start,
+                    end: fe.at,
+                    attempt,
+                    kind: fault.label(),
+                }),
+                FaultEventKind::Retried { .. } => counters.retries += 1,
+                FaultEventKind::WorkerDied { worker } => worker_deaths.push((worker, fe.at)),
+                FaultEventKind::Aborted { .. } => {}
+            }
+        }
+        counters.failures = failed_attempts.len() as u64;
+        counters.workers_lost = worker_deaths.len() as u64;
         ObsReport {
-            n_workers,
+            n_workers: trace.n_workers,
             enabled: true,
-            spans,
-            counters: s.counters,
-            failed_attempts: s.failed,
-            worker_deaths: s.deaths,
+            spans: trace.spans(),
+            counters,
+            failed_attempts,
+            worker_deaths,
         }
     }
 }
@@ -791,12 +678,6 @@ fn micros(t: Time) -> String {
 // Chrome-trace schema checker
 // ---------------------------------------------------------------------------
 
-// The JSON machinery the exporters and the schema checker use lived here
-// until PR 8 consolidated every hand-rolled emitter/parser in the
-// workspace into [`crate::json`]; re-exported so existing callers keep
-// compiling.
-pub use crate::json::{escape_into, parse_json, JsonValue};
-
 /// The keys every exported trace event must carry — the pinned schema.
 pub const CHROME_EVENT_KEYS: [&str; 7] = ["ph", "ts", "dur", "pid", "tid", "name", "args"];
 
@@ -832,6 +713,9 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::TraceRecorder;
+    use crate::fault::{FaultEvent, FaultKind};
+    use crate::trace::QueueEvent;
 
     fn span(
         task: u32,
@@ -904,12 +788,13 @@ mod tests {
 
     #[test]
     fn disabled_sink_reports_empty() {
-        let mut sink = ObsSink::disabled();
-        assert!(!sink.is_enabled());
-        sink.prepare(4, 10);
-        sink.count_wakeup(0);
-        sink.count_backfill(0, 1);
-        let r = sink.finish(4, &[]);
+        let graph = TaskGraph::cholesky(2);
+        let mut rec = TraceRecorder::with_obs(4, graph.len(), ObsSink::disabled());
+        assert!(!rec.obs_mut().is_enabled());
+        rec.obs_mut().count_wakeup(0);
+        rec.obs_mut().count_backfill(0, 1);
+        rec.record(&graph, 0, TaskId(0), Time::ZERO, Time::from_millis(1));
+        let (_, _, r) = rec.finish_with_obs(&graph);
         assert!(!r.enabled);
         assert!(r.spans.is_empty());
         assert_eq!(r, ObsReport::empty(4));
@@ -917,31 +802,29 @@ mod tests {
 
     #[test]
     fn enabled_sink_records_spans_and_counters() {
-        let mut sink = ObsSink::enabled();
-        sink.prepare(2, 2);
-        let qe = QueueEvent {
+        let graph = TaskGraph::cholesky(2);
+        let trsm = (0..graph.len() as u32)
+            .map(TaskId)
+            .find(|&t| graph.task(t).kernel() == Kernel::Trsm)
+            .expect("a 2-tile Cholesky has a TRSM");
+        let mut rec = TraceRecorder::with_obs(2, graph.len(), ObsSink::enabled());
+        rec.record_enqueue(QueueEvent {
             worker: 1,
-            task: TaskId(0),
+            task: trsm,
             prio: 7,
             seq: 0,
             at: Time::from_millis(1),
             data_ready: Time::from_millis(3),
-        };
-        sink.on_dispatch(Kernel::Trsm, &qe, 1);
-        sink.on_exec(
-            TaskId(0),
-            Kernel::Trsm,
-            1,
-            Time::from_millis(4),
-            Time::from_millis(9),
-        );
-        sink.count_wakeup(1);
-        sink.count_backfill(1, 2);
-        sink.count_backfill(1, 0); // not a backfill
-        let r = sink.finish(2, &[]);
+        });
+        rec.obs_mut().sample_queue_depth(1, 1);
+        rec.record(&graph, 1, trsm, Time::from_millis(4), Time::from_millis(9));
+        rec.obs_mut().count_wakeup(1);
+        rec.obs_mut().count_backfill(1, 2);
+        rec.obs_mut().count_backfill(1, 0); // not a backfill
+        let (_, _, r) = rec.finish_with_obs(&graph);
         assert!(r.enabled);
         assert_eq!(r.spans.len(), 1);
-        let s = r.span(TaskId(0)).unwrap();
+        let s = r.span(trsm).unwrap();
         assert_eq!(s.worker, 1);
         assert_eq!(s.prio, 7);
         assert_eq!(s.queued, Time::from_millis(1));
@@ -952,6 +835,70 @@ mod tests {
         assert_eq!(r.counters.wakeups[1], 1);
         assert_eq!(r.counters.backfills[1], 1);
         assert_eq!(r.counters.max_queue_depth[1], 1);
+    }
+
+    #[test]
+    fn fault_record_is_read_off_the_trace() {
+        let graph = TaskGraph::cholesky(2);
+        let mut rec = TraceRecorder::with_obs(2, graph.len(), ObsSink::enabled());
+        let ms = Time::from_millis;
+        let failed = |attempt, start, at| FaultEvent {
+            at,
+            kind: FaultEventKind::AttemptFailed {
+                task: TaskId(0),
+                worker: 0,
+                attempt,
+                fault: FaultKind::Transient,
+                start,
+            },
+        };
+        let retried = |attempt| FaultEvent {
+            at: ms(0),
+            kind: FaultEventKind::Retried {
+                task: TaskId(0),
+                attempt,
+                backoff: Time::ZERO,
+            },
+        };
+        rec.record_faults(vec![
+            failed(1, ms(0), ms(2)),
+            retried(2),
+            FaultEvent {
+                at: ms(3),
+                kind: FaultEventKind::WorkerDied { worker: 1 },
+            },
+            failed(2, ms(4), ms(4)),
+            FaultEvent {
+                at: ms(4),
+                kind: FaultEventKind::Aborted {
+                    task: TaskId(0),
+                    attempts: 2,
+                },
+            },
+        ]);
+        let (_, _, r) = rec.finish_with_obs(&graph);
+        assert_eq!(
+            r.failed_attempts[0],
+            FailedAttempt {
+                task: TaskId(0),
+                kernel: Kernel::Potrf,
+                worker: 0,
+                start: ms(0),
+                end: ms(2),
+                attempt: 1,
+                kind: "transient",
+            }
+        );
+        assert_eq!(r.failed_attempts.len(), 2);
+        assert_eq!(r.worker_deaths, [(1, ms(3))]);
+        assert_eq!(
+            (
+                r.counters.failures,
+                r.counters.retries,
+                r.counters.workers_lost
+            ),
+            (2, 1, 1)
+        );
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! Gantt charts of `dmda` vs `dmdas` at 8 × 8 tiles, showing the idle time
 //! the HEFT-style policy introduces on GPUs). This module provides the
 //! trace container, busy/idle accounting, conversion to a [`Schedule`] for
-//! validation, and an ASCII Gantt renderer.
+//! validation, an ASCII Gantt renderer, and the per-task phase spans
+//! ([`Trace::spans`]) that the observability report and the linter both
+//! read.
 
 use crate::fault::FaultEvent;
 use crate::kernel::Kernel;
+use crate::obs::TaskSpan;
 use crate::platform::{MemNode, Platform, WorkerId};
 use crate::schedule::{Schedule, ScheduleEntry};
 use crate::task::{TaskId, Tile};
@@ -142,6 +145,51 @@ impl Trace {
             acc[e.kernel.index()] += e.end - e.start;
         }
         acc
+    }
+
+    /// One [`TaskSpan`] per executed task, sorted by `(start, seq)`: the
+    /// task's execution joined with its *last* enqueue. A retried or
+    /// re-queued task is enqueued more than once, and only the last
+    /// enqueue led to the execution. A task executed without any enqueue
+    /// (a hand-built trace) gets an exec-only span: `queued` and
+    /// `data_ready` at its start, `prio` and `seq` zero.
+    pub fn spans(&self) -> Vec<TaskSpan> {
+        let n_tasks = self
+            .events
+            .iter()
+            .map(|e| e.task.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut last_enqueue: Vec<Option<&QueueEvent>> = vec![None; n_tasks];
+        for q in &self.queue_events {
+            if let Some(slot) = last_enqueue.get_mut(q.task.index()) {
+                *slot = Some(q);
+            }
+        }
+        let mut spans: Vec<TaskSpan> = self
+            .events
+            .iter()
+            .map(|e| {
+                let (prio, seq, queued, data_ready) = match last_enqueue[e.task.index()] {
+                    Some(q) => (q.prio, q.seq, q.at, q.data_ready),
+                    None => (0, 0, e.start, e.start),
+                };
+                TaskSpan {
+                    task: e.task,
+                    kernel: e.kernel,
+                    worker: e.worker,
+                    prio,
+                    seq,
+                    queued,
+                    data_ready,
+                    start: e.start,
+                    end: e.end,
+                }
+            })
+            .collect();
+        // The task id breaks ties between exec-only spans (all `seq` 0).
+        spans.sort_unstable_by_key(|s| (s.start, s.seq, s.task));
+        spans
     }
 
     /// Convert to a [`Schedule`] so the common validator can referee it.
@@ -317,6 +365,39 @@ mod tests {
         assert!(g.contains('G'));
         assert!(g.contains('.'));
         assert!(t.gantt_ascii(&p, 0).is_empty());
+    }
+
+    #[test]
+    fn spans_join_each_execution_with_its_last_enqueue() {
+        let mut t = demo_trace();
+        let enqueue = |task: u32, seq: u64, at: u64| QueueEvent {
+            worker: 0,
+            task: TaskId(task),
+            prio: seq as i64,
+            seq,
+            at: Time::from_millis(at),
+            data_ready: Time::from_millis(at + 1),
+        };
+        // Task 2 was enqueued twice (a retry); task 1 never was.
+        t.queue_events = vec![enqueue(0, 0, 0), enqueue(2, 1, 5), enqueue(2, 2, 12)];
+        let spans = t.spans();
+        assert_eq!(
+            spans.iter().map(|s| s.task).collect::<Vec<_>>(),
+            [TaskId(0), TaskId(1), TaskId(2)]
+        );
+        let retried = spans[2];
+        assert_eq!((retried.seq, retried.prio), (2, 2));
+        assert_eq!(retried.queued, Time::from_millis(12));
+        assert_eq!(retried.data_ready, Time::from_millis(13));
+        assert_eq!(
+            (retried.start, retried.end),
+            (t.events[2].start, t.events[2].end)
+        );
+        let exec_only = spans[1];
+        assert_eq!((exec_only.seq, exec_only.prio), (0, 0));
+        assert_eq!(exec_only.queued, exec_only.start);
+        assert_eq!(exec_only.data_ready, exec_only.start);
+        assert_eq!(exec_only.worker, 1);
     }
 
     #[test]

@@ -117,8 +117,9 @@ enum Work {
 /// with (from [`crate::calibrate_profile`] or a synthetic profile); the
 /// actual durations are whatever the host delivers. `obs` selects
 /// structured observability: [`ObsSink::disabled`] (free) or
-/// [`ObsSink::enabled`] to collect per-task phase spans plus condvar
-/// wakeup / backfill counters in [`RtResult::obs`].
+/// [`ObsSink::enabled`], which samples the condvar-wakeup, backfill and
+/// queue-depth gauges and makes [`RtResult::obs`] carry the per-task
+/// phase spans and counters derived from the trace.
 ///
 /// The workload's `apply` is called concurrently for DAG-independent
 /// tasks; the ready-made workloads ([`crate::workload::CholeskyWorkload`],
@@ -327,7 +328,6 @@ fn reap_doomed<E>(
             continue;
         }
         f.mark_dead(v, now);
-        recorder.obs_mut().count_worker_lost(v, now);
         for entry in queues.drain_worker(v) {
             if skip_dead_requeue {
                 continue; // seeded bug: strand the dead worker's queue
@@ -382,20 +382,9 @@ fn die_at_pop<E>(
     } = s;
     let f = faults.as_mut().expect("die_at_pop outside fault mode");
     f.mark_dead(w, now);
-    recorder.obs_mut().count_worker_lost(w, now);
-    let (attempt, _) = f.begin_attempt(entry.task);
-    recorder.obs_mut().on_attempt_failed(
-        entry.task,
-        ctx.graph.task(entry.task).kernel(),
-        w,
-        now,
-        now,
-        attempt,
-        FaultKind::WorkerLost.label(),
-    );
-    match f.record_failure(entry.task, w, FaultKind::WorkerLost, now) {
+    f.begin_attempt(entry.task);
+    match f.record_failure(entry.task, w, FaultKind::WorkerLost, now, now) {
         Some(backoff) => {
-            recorder.obs_mut().count_retry();
             let landed = exec::dispatch_resilient(
                 entry.task,
                 now,
@@ -660,19 +649,8 @@ fn execute_with_inner<W: Workload + ?Sized>(
                                     ..
                                 } = &mut *s;
                                 let f = faults.as_mut().expect("injected failure needs fault mode");
-                                let attempt = f.attempts_of(task);
-                                recorder.obs_mut().on_attempt_failed(
-                                    task,
-                                    ctx.graph.task(task).kernel(),
-                                    w,
-                                    fail_start,
-                                    now,
-                                    attempt,
-                                    kind.label(),
-                                );
-                                match f.record_failure(task, w, kind, now) {
+                                match f.record_failure(task, w, kind, fail_start, now) {
                                     Some(backoff) => {
-                                        recorder.obs_mut().count_retry();
                                         let landed = exec::dispatch_resilient(
                                             task,
                                             now,
@@ -830,7 +808,7 @@ fn execute_with_inner<W: Workload + ?Sized>(
                 return Err(e);
             }
             assert!(s.deps.is_done(), "runtime exited with unfinished tasks");
-            let (trace, makespan, obs) = s.recorder.finish_with_obs();
+            let (trace, makespan, obs) = s.recorder.finish_with_obs(graph);
             Ok(RtResult {
                 trace,
                 makespan,
@@ -842,7 +820,7 @@ fn execute_with_inner<W: Workload + ?Sized>(
             let outcome = f.classify(s.deps.is_done(), s.failed, s.deps.remaining());
             let mut recorder = s.recorder;
             recorder.record_faults(f.take_events());
-            let (trace, makespan, obs) = recorder.finish_with_obs();
+            let (trace, makespan, obs) = recorder.finish_with_obs(graph);
             Ok(RtResult {
                 trace,
                 makespan,

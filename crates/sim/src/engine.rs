@@ -346,7 +346,6 @@ fn reap_doomed(
             continue;
         }
         f.mark_dead(w, now);
-        recorder.obs_mut().count_worker_lost(w, now);
         for entry in queues.drain_worker(w) {
             let landed = exec::dispatch_resilient(
                 entry.task,
@@ -564,19 +563,8 @@ fn sim_run<const RESILIENT: bool>(
                 // tile state to unwind): log it, then retry with backoff
                 // or abort the run on budget exhaustion.
                 let f = faults.as_deref_mut().expect("resilient run has faults");
-                let attempt = f.attempts_of(task);
-                recorder.obs_mut().on_attempt_failed(
-                    task,
-                    graph.task(task).kernel(),
-                    w,
-                    event.start,
-                    event.at,
-                    attempt,
-                    kind.label(),
-                );
-                match f.record_failure(task, w, kind, now) {
+                match f.record_failure(task, w, kind, event.start, now) {
                     Some(backoff) => {
-                        recorder.obs_mut().count_retry();
                         let landed = exec::dispatch_resilient(
                             task,
                             now,
@@ -663,7 +651,7 @@ fn sim_run<const RESILIENT: bool>(
         RunOutcome::Completed
     };
     data.merge_transfers(&mut recorder);
-    let (trace, makespan, obs) = recorder.finish_with_obs();
+    let (trace, makespan, obs) = recorder.finish_with_obs(graph);
     SimResult {
         trace,
         makespan,

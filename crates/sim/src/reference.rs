@@ -403,9 +403,7 @@ fn dispatch(
         at: now,
         data_ready,
     };
-    recorder
-        .obs_mut()
-        .on_dispatch(ctx.graph.task(task).kernel(), &event, queues.depth(w));
+    recorder.obs_mut().sample_queue_depth(w, queues.depth(w));
     recorder.record_enqueue(event);
     Some(w)
 }
@@ -425,7 +423,6 @@ fn reap_doomed(
             continue;
         }
         f.mark_dead(w, now);
-        recorder.obs_mut().count_worker_lost(w, now);
         for entry in queues.drain_worker(w) {
             let landed = dispatch(
                 entry.task,
@@ -638,19 +635,8 @@ fn run_reference(
             let f = faults
                 .as_deref_mut()
                 .expect("injected failure without fault state");
-            let attempt = f.attempts_of(task);
-            recorder.obs_mut().on_attempt_failed(
-                task,
-                graph.task(task).kernel(),
-                w,
-                t_start,
-                t_end,
-                attempt,
-                kind.label(),
-            );
-            match f.record_failure(task, w, kind, now) {
+            match f.record_failure(task, w, kind, t_start, now) {
                 Some(backoff) => {
-                    recorder.obs_mut().count_retry();
                     let landed = dispatch(
                         task,
                         now,
@@ -717,7 +703,7 @@ fn run_reference(
         }
     };
     data.merge_transfers(&mut recorder);
-    let (trace, makespan, obs) = recorder.finish_with_obs();
+    let (trace, makespan, obs) = recorder.finish_with_obs(graph);
     SimResult {
         trace,
         makespan,

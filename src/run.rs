@@ -100,8 +100,10 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// Attach an observability sink ([`ObsSink::enabled`] records spans
-    /// and counters; the default disabled sink costs nothing).
+    /// Attach an observability sink ([`ObsSink::enabled`] samples the
+    /// queue-depth, backfill and wakeup gauges, and the result's report
+    /// derives spans and counters from the trace; the default disabled
+    /// sink costs nothing).
     pub fn obs(mut self, obs: ObsSink) -> Self {
         self.obs = obs;
         self

@@ -6,7 +6,8 @@
 
 use hetchol::core::dag::TaskGraph;
 use hetchol::core::fault::{
-    ConfigError, FailureCause, FaultKind, FaultPlan, RetryPolicy, RunOutcome,
+    ConfigError, FailureCause, FaultEvent, FaultEventKind, FaultKind, FaultPlan, RetryPolicy,
+    RunOutcome,
 };
 use hetchol::core::obs::ObsSink;
 use hetchol::core::platform::Platform;
@@ -128,6 +129,95 @@ fn retry_exhaustion_fails_identically_in_both_engines() {
     )
     .unwrap();
     assert_eq!(rt.outcome, expected);
+}
+
+/// `(kind, start, failed at)` of every failed attempt in a fault log.
+fn failed_attempts(events: &[FaultEvent]) -> Vec<(FaultKind, Time, Time)> {
+    events
+        .iter()
+        .filter_map(|fe| match fe.kind {
+            FaultEventKind::AttemptFailed { fault, start, .. } => Some((fault, start, fe.at)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Every failed attempt records when it started, never after the failure
+/// itself, in both engines. A runtime watchdog timeout occupies its worker
+/// for the whole limit first: the runtime sleeps the limit on the wall
+/// clock before it records the failure.
+#[test]
+fn failed_attempts_record_their_start() {
+    let graph = TaskGraph::cholesky(4);
+    // 1 ms per kernel, so only a straggler's 8× attempts cross the 4 ms
+    // watchdog.
+    let profile = TimingProfile::new(960, vec![[Time::from_millis(1); Kernel::COUNT]]);
+    let limit = Time::from_millis(4);
+    let policy = RetryPolicy {
+        watchdog: Some(limit),
+        ..RetryPolicy::default()
+    };
+    let workload = FnWorkload(|_| Ok::<(), std::convert::Infallible>(()));
+    let plan = FaultPlan::new()
+        .kill_worker(1, 6)
+        .transient(TaskId(2), 2)
+        .corrupt_tile(TaskId(7))
+        .straggler(2, 8.0);
+    let sim = simulate_resilient(
+        &graph,
+        &Platform::homogeneous(3).without_comm(),
+        &profile,
+        &mut Dmdas::new(),
+        &SimOptions::default(),
+        ObsSink::disabled(),
+        &plan,
+        &policy,
+    )
+    .unwrap();
+    let rt = execute_resilient(
+        &workload,
+        &graph,
+        &mut Dmdas::new(),
+        &profile,
+        3,
+        ObsSink::disabled(),
+        &plan,
+        &policy,
+    )
+    .unwrap();
+    for (engine, trace) in [("sim", &sim.trace), ("rt", &rt.trace)] {
+        let failed = failed_attempts(&trace.fault_events);
+        assert!(!failed.is_empty(), "{engine}: no attempt failed");
+        for (kind, start, at) in failed {
+            assert!(
+                start <= at,
+                "{engine}: a {kind} attempt started at {start}, after failing at {at}"
+            );
+        }
+    }
+
+    // On a lone straggling worker every attempt times out.
+    let rt = execute_resilient(
+        &workload,
+        &graph,
+        &mut Dmdas::new(),
+        &profile,
+        1,
+        ObsSink::disabled(),
+        &FaultPlan::new().straggler(0, 8.0),
+        &policy,
+    )
+    .unwrap();
+    let timeouts = failed_attempts(&rt.trace.fault_events);
+    assert_eq!(timeouts.len(), policy.max_attempts as usize);
+    for (kind, start, at) in timeouts {
+        assert_eq!(kind, FaultKind::Timeout);
+        assert!(
+            at - start >= limit,
+            "a timed-out attempt held its worker {} < the {limit} limit",
+            at - start
+        );
+    }
 }
 
 /// The backoff schedule doubles from the base and clamps at the cap —

@@ -185,3 +185,29 @@ fn job_outcome_summary_agrees_with_the_sim_it_summarizes() {
     assert!(run.outcome.makespan.unwrap() >= run.outcome.bounds.unwrap().best);
     assert!(run.outcome.makespan.unwrap() > Time::ZERO);
 }
+
+/// A faulted lint job's verdict does not depend on `"obs"`. Task 3's
+/// first attempt fails and is retried; the worker is busy with the failed
+/// attempt, so the enqueue the retry made obsolete must not read as a
+/// startable task the worker idled over.
+#[test]
+fn faulted_lint_verdict_does_not_depend_on_obs() {
+    for obs in [false, true] {
+        let body = format!(
+            "{{\"workload\":\"cholesky\",\"n\":2,\"scheduler\":\"dmda\",\"action\":\"lint\",\
+             \"obs\":{obs},\"faults\":[{{\"kind\":\"transient\",\"task\":3,\"failures\":1,\
+             \"fault\":\"transient\"}}]}}"
+        );
+        let run = JobSpec::from_json(&body)
+            .expect("valid spec")
+            .run()
+            .unwrap();
+        let lint = run.outcome.lint.expect("lint action");
+        assert_eq!(
+            (lint.errors, lint.warnings),
+            (0, 0),
+            "obs={obs}: {}",
+            run.lint.expect("lint report").to_json()
+        );
+    }
+}

@@ -1,11 +1,17 @@
 //! Observability acceptance tests: the Chrome-trace JSON schema is a CI
-//! interface (golden-pinned here), and the per-worker phase accounting
-//! must partition the makespan exactly on *both* engines.
+//! interface (golden-pinned here), the per-worker phase accounting must
+//! partition the makespan exactly on *both* engines, and every rendering
+//! of the report derived from the trace is pinned by digest.
 
-use hetchol::core::obs::{parse_json, validate_chrome_trace, JsonValue, CHROME_EVENT_KEYS};
+use hetchol::core::algorithm::Algorithm;
+use hetchol::core::hash::ContentHasher;
+use hetchol::core::json::{parse_json, JsonValue};
+use hetchol::core::obs::{validate_chrome_trace, CHROME_EVENT_KEYS};
 use hetchol::core::time::Time;
 use hetchol::prelude::*;
+use hetchol::rt::execute_resilient_controlled;
 use hetchol::sched::{Dmda, Dmdas};
+use hetchol::sim::{simulate_resilient, simulate_with};
 
 fn sim_report(n: usize) -> ObsReport {
     Run::new(&TaskGraph::cholesky(n))
@@ -116,4 +122,163 @@ fn summary_json_is_machine_readable() {
         doc.get("n_spans"),
         Some(&JsonValue::Num(report.spans.len() as f64))
     );
+}
+
+// --- Goldens for the derived report --------------------------------------
+
+/// FNV digests, in hex, of everything an [`ObsReport`] renders: the
+/// Chrome trace, the summary JSON, the utilization report and the
+/// counters' `Debug` form, in that order.
+fn digests(report: &ObsReport) -> String {
+    [
+        report.to_chrome_trace(),
+        report.summary_json(),
+        report.utilization_report(),
+        format!("{:?}", report.counters),
+    ]
+    .iter()
+    .map(|text| {
+        let mut h = ContentHasher::new();
+        h.write_str(text);
+        format!("{:016x}", h.finish())
+    })
+    .collect::<Vec<_>>()
+    .join(" ")
+}
+
+fn scheduler(name: &str) -> Box<dyn Scheduler> {
+    match name {
+        "dmda" => Box::new(Dmda::new()),
+        _ => Box::new(Dmdas::new()),
+    }
+}
+
+/// Fault-free simulations: Cholesky, LU and QR at 4 and 8 tiles under
+/// both dmda variants on the mirage platform, plus the 32-tile dmdas
+/// Cholesky whose Chrome trace is the largest the exporters render.
+fn fault_free_reports() -> Vec<(String, ObsReport)> {
+    let platform = Platform::mirage();
+    let profile = TimingProfile::mirage();
+    let mut cases: Vec<(Algorithm, usize, &str)> = Vec::new();
+    for algo in [Algorithm::Cholesky, Algorithm::Lu, Algorithm::Qr] {
+        for n in [4, 8] {
+            for sched in ["dmda", "dmdas"] {
+                cases.push((algo, n, sched));
+            }
+        }
+    }
+    cases.push((Algorithm::Cholesky, 32, "dmdas"));
+    cases
+        .into_iter()
+        .map(|(algo, n, sched)| {
+            let r = simulate_with(
+                &algo.graph(n),
+                &platform,
+                &profile,
+                scheduler(sched).as_mut(),
+                &SimOptions::default(),
+                ObsSink::enabled(),
+            );
+            (format!("{algo:?} n={n} {sched}"), r.obs)
+        })
+        .collect()
+}
+
+/// Seeded-fault simulations of an 8-tile Cholesky on mirage.
+fn faulted_reports() -> Vec<(String, ObsReport)> {
+    let graph = TaskGraph::cholesky(8);
+    let platform = Platform::mirage();
+    let profile = TimingProfile::mirage();
+    (0..8u64)
+        .map(|s| {
+            let plan = FaultPlan::seeded(s, graph.len(), platform.n_workers());
+            let r = simulate_resilient(
+                &graph,
+                &platform,
+                &profile,
+                &mut Dmdas::new(),
+                &SimOptions::default(),
+                ObsSink::enabled(),
+                &plan,
+                &RetryPolicy::default(),
+            )
+            .expect("seeded plans never kill every worker");
+            (format!("seeded {s}"), r.obs)
+        })
+        .collect()
+}
+
+/// The threaded runtime on one worker with a logical clock. The plan only
+/// fails attempts (no deaths, no stragglers), so the run is a pure
+/// function of the plan.
+fn runtime_report() -> ObsReport {
+    let graph = TaskGraph::cholesky(4);
+    let workload = FnWorkload(|_: TaskCoords| Ok::<(), std::convert::Infallible>(()));
+    let plan = FaultPlan::new()
+        .transient(TaskId(0), 1)
+        .transient(TaskId(5), 2)
+        .corrupt_tile(TaskId(9));
+    execute_resilient_controlled(
+        &workload,
+        &graph,
+        &mut Dmda::new(),
+        &TimingProfile::mirage_homogeneous(),
+        1,
+        ObsSink::enabled(),
+        &plan,
+        &RetryPolicy::default(),
+        true,
+    )
+    .expect("one worker, no deaths")
+    .obs
+}
+
+/// `label: digests` of the reports below, pinned from the engines' former
+/// recording path (a per-task record kept beside the trace): the report
+/// derived from the trace must render byte for byte the same.
+const GOLDENS: [&str; 22] = [
+    "Cholesky n=4 dmda: 00d740c6eecf0401 ba22d942a0e04728 8350e4f9c06dbf52 88d4a8fa6ae0b5e2",
+    "Cholesky n=4 dmdas: bc18d776413305ba ba22d942a0e04728 8350e4f9c06dbf52 88d4a8fa6ae0b5e2",
+    "Cholesky n=8 dmda: 2150f30804f31fe8 6be455b21b15a3e9 c4f47957e629cb45 c470fe98ba71b2be",
+    "Cholesky n=8 dmdas: 930ef1335f3f44c3 56407321a5c1e429 9617064206cdc4f4 2743d373476cea99",
+    "Lu n=4 dmda: d58ba12607f5a954 c4aa52a92e896a81 b6d1f560b2055b60 a22eb6f07d0dbb95",
+    "Lu n=4 dmdas: f1702451eec0679f 1d509f4560b799fb 4c5f577a6191abbc bb4f139732108ba8",
+    "Lu n=8 dmda: f9bbee677b9ef07e ce33f5320258c4a8 c80dc5857647d17e da2d9d04458aede9",
+    "Lu n=8 dmdas: 654a9711c0639d14 29e1f223c815bccc cc7cd978e315a4b6 50dea475e5042dbc",
+    "Qr n=4 dmda: 945b051e932334b5 6772ec3c3fd81a27 0086493564c320da 248117a7fd4a74b9",
+    "Qr n=4 dmdas: ace2c8e71faa7fe1 8af6ba27dcf0ac20 b02608c05ddb60fe 456b4463029ea6e7",
+    "Qr n=8 dmda: 26360f56aa7950c3 17f59f04c68dc5d1 69fd9551d90c5ca2 9c155ad4677da1c2",
+    "Qr n=8 dmdas: 79726bc3f2800302 577e0fb3a8063ada c2065dfa0faba785 12e803bbc186df05",
+    "Cholesky n=32 dmdas: cea89e8f245ce675 b9a84882eedc972c 828eee98134db5c2 448ae90f37d6c94c",
+    "seeded 0: a726e50a66f3de2a 0099c7f74e65f5ab f7ca10008696db0a 5f8d27ec4587e8c1",
+    "seeded 1: 79fa235f1e9814e3 427ce61a8b0fdf49 1ec7562200ea4900 9c8e4992fc2a987b",
+    "seeded 2: 3604df57112846db 9fbcfa26ffd4c8c9 73469477b1838464 eedac6de59010035",
+    "seeded 3: 778fb83f41338f03 fd9fa9d556f0ad50 cbe778c90739523e 32e732d0baecafa0",
+    "seeded 4: 8d97f022c4dea531 1091753469e89d7c 97c0997afa3c271e ab51ad988bc7bcca",
+    "seeded 5: 3fd63be70e367d2b 714a8f06ed6736d0 b9df7b9349220cf7 2b96bec65656a52f",
+    "seeded 6: e08c60f90522e646 c3ec0f64a4e86560 8f2c515721513c57 d21feaa4c17f96ab",
+    "seeded 7: 8d07dad5eaf1ce5a 8b0ad4a375d50a3b b06fe1b815a0c94c a112a898cafb95e4",
+    "runtime: cb08e8592ff9307e de27d29e34baeb30 d71de9ca0a0459a3 e76df9061a203bd2",
+];
+
+#[test]
+fn derived_reports_match_goldens() {
+    let faulted = faulted_reports();
+    // The seeded plans exercise every event kind the exporter renders.
+    let faulted_traces: String = faulted.iter().map(|(_, r)| r.to_chrome_trace()).collect();
+    for name in ["[transfer]", "[queued]", "[retrying]", "worker lost"] {
+        assert!(
+            faulted_traces.contains(name),
+            "no {name} event in the seeded runs"
+        );
+    }
+    let mut reports = fault_free_reports();
+    reports.extend(faulted);
+    reports.push(("runtime".to_string(), runtime_report()));
+    let got: Vec<String> = reports
+        .iter()
+        .map(|(label, report)| format!("{label}: {}", digests(report)))
+        .collect();
+    // Digests per case: Chrome trace, summary, utilization, counters.
+    assert_eq!(got, GOLDENS);
 }
