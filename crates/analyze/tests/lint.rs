@@ -385,9 +385,10 @@ fn swapped_order_trips_replay_divergence() {
 
 #[test]
 fn obs_armed_runs_lint_clean_with_every_rule() {
-    // The span-fed record path must agree with the QueueEvent
-    // reconstruction: an obs-armed simulated run lints clean under the
-    // full rule catalog, including span-consistency.
+    // The obs report's spans are derived from the trace, so an obs-armed
+    // simulated run lints clean under the full rule catalog, including
+    // span-consistency, which compares the report's spans with the ones
+    // the linter derives from the same trace.
     for n in [2, 4] {
         let graph = TaskGraph::cholesky(n);
         let platform = Platform::mirage().without_comm();

@@ -79,6 +79,17 @@ struct DualSlot {
     art: Option<usize>,
 }
 
+/// `row -= factor · pivot_row`, skipping the exact zeros of `pivot_row`
+/// (most of a tableau row), where the update would leave `row` unchanged.
+fn eliminate(row: &mut [Rat], factor: Rat, pivot_row: &[Rat]) -> Result<(), CertError> {
+    for (v, p) in row.iter_mut().zip(pivot_row) {
+        if !p.is_zero() {
+            *v = v.checked_sub(factor.checked_mul(*p)?)?;
+        }
+    }
+    Ok(())
+}
+
 struct XTableau {
     /// `m × (n_cols + 1)` rows, last column is the RHS.
     rows: Vec<Vec<Rat>>,
@@ -104,15 +115,11 @@ impl XTableau {
             if factor.is_zero() {
                 continue;
             }
-            for (v, p) in current.iter_mut().zip(&pivot_row) {
-                *v = v.checked_sub(factor.checked_mul(*p)?)?;
-            }
+            eliminate(current, factor, &pivot_row)?;
         }
         let factor = self.z[col];
         if !factor.is_zero() {
-            for (v, p) in self.z.iter_mut().zip(&pivot_row) {
-                *v = v.checked_sub(factor.checked_mul(*p)?)?;
-            }
+            eliminate(&mut self.z, factor, &pivot_row)?;
         }
         self.basis[row] = col;
         Ok(())
@@ -268,10 +275,7 @@ pub(crate) fn solve_exact(lp: &RatLp) -> Result<XlpOutcome, CertError> {
         for (r, &b) in tab.basis.clone().iter().enumerate() {
             if !tab.z[b].is_zero() {
                 let factor = tab.z[b];
-                let row = tab.rows[r].clone();
-                for (v, p) in tab.z.iter_mut().zip(&row) {
-                    *v = v.checked_sub(factor.checked_mul(*p)?)?;
-                }
+                eliminate(&mut tab.z, factor, &tab.rows[r])?;
             }
         }
         let bounded = tab.optimize(n_cols)?;
@@ -312,10 +316,7 @@ pub(crate) fn solve_exact(lp: &RatLp) -> Result<XlpOutcome, CertError> {
     for (r, &b) in tab.basis.clone().iter().enumerate() {
         if !tab.z[b].is_zero() {
             let factor = tab.z[b];
-            let row = tab.rows[r].clone();
-            for (v, p) in tab.z.iter_mut().zip(&row) {
-                *v = v.checked_sub(factor.checked_mul(*p)?)?;
-            }
+            eliminate(&mut tab.z, factor, &tab.rows[r])?;
         }
     }
     if !tab.optimize(allowed)? {

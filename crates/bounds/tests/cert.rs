@@ -6,6 +6,7 @@ use hetchol_bounds::cert::{certify_bound, BoundKind, LeafCert, LeafVerdict, Rat}
 use hetchol_bounds::ilp::BranchStep;
 use hetchol_bounds::{BoundSet, CertReject, Relation};
 use hetchol_core::algorithm::Algorithm;
+use hetchol_core::hash::ContentHasher;
 use hetchol_core::kernel::Kernel;
 use hetchol_core::platform::{Platform, ResourceClass, ResourceKind};
 use hetchol_core::profiles::TimingProfile;
@@ -90,6 +91,132 @@ fn certificate_json_names_kind_bound_and_leaves() {
     assert!(json.contains("\"leaves\":["), "{json}");
     // The repo's JSON validator must accept the hand-rolled output.
     hetchol_core::json::parse_json(&json).expect("certificate JSON parses");
+}
+
+/// One FNV digest over everything a certified bound set states: the
+/// `Debug` form (leaf paths, `x`, `y`, Farkas vectors), both certificates'
+/// JSON and the checker's `VerifiedBounds`.
+fn certificate_digest(
+    algo: Algorithm,
+    n: usize,
+    platform: &Platform,
+    profile: &TimingProfile,
+) -> String {
+    let cert = certify_and_check(algo, n, platform, profile);
+    let verified = cert.verify(platform, profile).expect("verified above");
+    let mut h = ContentHasher::new();
+    h.write_str(&format!("{cert:?}"));
+    h.write_str(&cert.area.to_json());
+    h.write_str(&cert.mixed.to_json());
+    h.write_str(&format!("{verified:?}"));
+    format!("{:016x}", h.finish())
+}
+
+/// `platform algo n=<n>: digest` over {mirage without comm, mirage,
+/// cpu-only} × {Cholesky, LU, QR} × n ∈ {2, 4, 5, 8, 12, 16, 24, 32},
+/// recorded before `Rat` gained its word-sized arithmetic: certificates
+/// must not depend on which path computed them. The bounds ignore the
+/// comm model, so the two mirage rows agree.
+const CERT_GOLDENS: [&str; 72] = [
+    "mirage-nocomm Cholesky n=2: 0f50fc8cea425434",
+    "mirage-nocomm Cholesky n=4: 8bfeab7b24614a0f",
+    "mirage-nocomm Cholesky n=5: 5aae579664a68933",
+    "mirage-nocomm Cholesky n=8: f839559a00e22197",
+    "mirage-nocomm Cholesky n=12: 3455a753b4d78577",
+    "mirage-nocomm Cholesky n=16: 457ce80f44e6aecb",
+    "mirage-nocomm Cholesky n=24: ca1be03944be6614",
+    "mirage-nocomm Cholesky n=32: 86779c72b6eab1fa",
+    "mirage-nocomm Lu n=2: e4f953c2d57dda21",
+    "mirage-nocomm Lu n=4: 04efa739d1a051eb",
+    "mirage-nocomm Lu n=5: 36d810650f5aaf7a",
+    "mirage-nocomm Lu n=8: 5f3066dc637717b6",
+    "mirage-nocomm Lu n=12: 040175b4c8c34a17",
+    "mirage-nocomm Lu n=16: 4d814b11e2d48b68",
+    "mirage-nocomm Lu n=24: f33b5cd7cb165139",
+    "mirage-nocomm Lu n=32: 25b07618cd3d98f2",
+    "mirage-nocomm Qr n=2: c83d7e0cc14d79a7",
+    "mirage-nocomm Qr n=4: 6303c9e0a960875d",
+    "mirage-nocomm Qr n=5: 141417951c3171ad",
+    "mirage-nocomm Qr n=8: 200dafb98161f0d7",
+    "mirage-nocomm Qr n=12: 5108b073dd31dbee",
+    "mirage-nocomm Qr n=16: 49886ecf70e71268",
+    "mirage-nocomm Qr n=24: d4fb9134bfab873b",
+    "mirage-nocomm Qr n=32: 915b9b8b4c3afb50",
+    "mirage Cholesky n=2: 0f50fc8cea425434",
+    "mirage Cholesky n=4: 8bfeab7b24614a0f",
+    "mirage Cholesky n=5: 5aae579664a68933",
+    "mirage Cholesky n=8: f839559a00e22197",
+    "mirage Cholesky n=12: 3455a753b4d78577",
+    "mirage Cholesky n=16: 457ce80f44e6aecb",
+    "mirage Cholesky n=24: ca1be03944be6614",
+    "mirage Cholesky n=32: 86779c72b6eab1fa",
+    "mirage Lu n=2: e4f953c2d57dda21",
+    "mirage Lu n=4: 04efa739d1a051eb",
+    "mirage Lu n=5: 36d810650f5aaf7a",
+    "mirage Lu n=8: 5f3066dc637717b6",
+    "mirage Lu n=12: 040175b4c8c34a17",
+    "mirage Lu n=16: 4d814b11e2d48b68",
+    "mirage Lu n=24: f33b5cd7cb165139",
+    "mirage Lu n=32: 25b07618cd3d98f2",
+    "mirage Qr n=2: c83d7e0cc14d79a7",
+    "mirage Qr n=4: 6303c9e0a960875d",
+    "mirage Qr n=5: 141417951c3171ad",
+    "mirage Qr n=8: 200dafb98161f0d7",
+    "mirage Qr n=12: 5108b073dd31dbee",
+    "mirage Qr n=16: 49886ecf70e71268",
+    "mirage Qr n=24: d4fb9134bfab873b",
+    "mirage Qr n=32: 915b9b8b4c3afb50",
+    "cpu-only Cholesky n=2: 212b4257bbbdc1e7",
+    "cpu-only Cholesky n=4: 38b099f59aedac98",
+    "cpu-only Cholesky n=5: db9b8e84689dfed3",
+    "cpu-only Cholesky n=8: fe98d2b8191fd3ff",
+    "cpu-only Cholesky n=12: ed60572d6ab42ba1",
+    "cpu-only Cholesky n=16: ac84f28d18fef4a6",
+    "cpu-only Cholesky n=24: 4e23cc816839a3e2",
+    "cpu-only Cholesky n=32: 619e9a16186000a3",
+    "cpu-only Lu n=2: ea3880bea2930c53",
+    "cpu-only Lu n=4: 69138d3d37b86cd7",
+    "cpu-only Lu n=5: df7ac5263480fb82",
+    "cpu-only Lu n=8: 8fd71b291f0f31e0",
+    "cpu-only Lu n=12: 2bf1de3585625fe4",
+    "cpu-only Lu n=16: 6744bedbc73e0340",
+    "cpu-only Lu n=24: 2ba5b76a278ac9ab",
+    "cpu-only Lu n=32: 4ee6c32bdcab665a",
+    "cpu-only Qr n=2: 963b4fbfe3ff9c57",
+    "cpu-only Qr n=4: 1452643e6cb186b4",
+    "cpu-only Qr n=5: 65dac6a4cefe911a",
+    "cpu-only Qr n=8: 05344036abe9732a",
+    "cpu-only Qr n=12: ef47614f3924872a",
+    "cpu-only Qr n=16: a57639effbedfd97",
+    "cpu-only Qr n=24: 4863acb447c014db",
+    "cpu-only Qr n=32: 503408786c516dfb",
+];
+
+#[test]
+fn certificates_match_goldens() {
+    let grids = [
+        (
+            "mirage-nocomm",
+            Platform::mirage().without_comm(),
+            TimingProfile::mirage(),
+        ),
+        ("mirage", Platform::mirage(), TimingProfile::mirage()),
+        (
+            "cpu-only",
+            Platform::homogeneous(9),
+            TimingProfile::mirage_homogeneous(),
+        ),
+    ];
+    let mut got = Vec::new();
+    for (name, platform, profile) in &grids {
+        for algo in [Algorithm::Cholesky, Algorithm::Lu, Algorithm::Qr] {
+            for n in [2, 4, 5, 8, 12, 16, 24, 32] {
+                let digest = certificate_digest(algo, n, platform, profile);
+                got.push(format!("{name} {algo:?} n={n}: {digest}"));
+            }
+        }
+    }
+    assert_eq!(got, CERT_GOLDENS);
 }
 
 fn random_platform_profile(
