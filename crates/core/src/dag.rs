@@ -278,7 +278,8 @@ impl TaskGraph {
 
     /// All data accesses of a task, from the precomputed arena — the
     /// allocation-free equivalent of [`TaskCoords::accesses`] for hot
-    /// paths (the simulator reads this per (ready task × worker) pair).
+    /// paths (the simulator reads this per (ready task × memory node)
+    /// pair, and once more per prefetch).
     #[inline]
     pub fn accesses_of(&self, t: TaskId) -> &[Access] {
         &self.accesses[self.acc_off[t.index()] as usize..self.acc_off[t.index() + 1] as usize]

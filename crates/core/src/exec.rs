@@ -30,7 +30,7 @@
 use crate::dag::TaskGraph;
 use crate::fault::FaultEvent;
 use crate::obs::{ObsReport, ObsSink};
-use crate::platform::WorkerId;
+use crate::platform::{MemNode, WorkerId};
 use crate::scheduler::{ExecutionView, SchedContext, Scheduler};
 use crate::task::TaskId;
 use crate::time::Time;
@@ -228,6 +228,10 @@ pub struct QueueEntry {
 /// nominal work already queued on it*, which is exactly what the
 /// completion-time heuristics consume via
 /// [`ExecutionView::worker_available_at`].
+///
+/// Two per-worker bitsets — busy, and has queued entries — answer the
+/// start loop's question, "which idle workers have work?", a 64-worker
+/// word at a time ([`WorkerQueues::next_idle_with_work`]).
 #[derive(Clone, Debug)]
 pub struct WorkerQueues {
     queues: Vec<VecDeque<QueueEntry>>,
@@ -238,7 +242,11 @@ pub struct WorkerQueues {
     /// yields exactly the old `if busy { busy_until.max(now) } else
     /// { now }` in either state.
     avail_parts: Vec<(Time, Time)>,
-    busy: Vec<bool>,
+    /// Bit `w % 64` of word `w / 64` is set while worker `w` runs a task.
+    busy: Vec<u64>,
+    /// Bit `w % 64` of word `w / 64` is set while worker `w`'s queue is
+    /// nonempty.
+    queued: Vec<u64>,
     seq: u64,
     /// Reused buffer behind [`dispatch`]'s availability snapshot, so the
     /// steady state performs no per-dispatch allocation.
@@ -248,10 +256,12 @@ pub struct WorkerQueues {
 impl WorkerQueues {
     /// Empty queues for `n_workers` workers.
     pub fn new(n_workers: usize) -> WorkerQueues {
+        let words = n_workers.div_ceil(64);
         WorkerQueues {
             queues: vec![VecDeque::with_capacity(32); n_workers],
             avail_parts: vec![(Time::ZERO, Time::ZERO); n_workers],
-            busy: vec![false; n_workers],
+            busy: vec![0; words],
+            queued: vec![0; words],
             seq: 0,
             avail_scratch: Vec::with_capacity(n_workers),
         }
@@ -311,6 +321,7 @@ impl WorkerQueues {
         };
         self.seq += 1;
         self.avail_parts[w].1 += exec_estimate;
+        set_bit(&mut self.queued, w, true);
         let queue = &mut self.queues[w];
         if sorted {
             // Highest priority first; FIFO among equals.
@@ -357,6 +368,9 @@ impl WorkerQueues {
         } else {
             queue.remove(pos).expect("found index within the ring")
         };
+        if queue.is_empty() {
+            set_bit(&mut self.queued, w, false);
+        }
         self.avail_parts[w].1 = self.avail_parts[w].1.saturating_sub(entry.exec_estimate);
         Some((entry, pos))
     }
@@ -371,21 +385,37 @@ impl WorkerQueues {
     /// Mark worker `w` busy until (an estimate of) `until`.
     #[inline]
     pub fn set_busy_until(&mut self, w: WorkerId, until: Time) {
-        self.busy[w] = true;
+        set_bit(&mut self.busy, w, true);
         self.avail_parts[w].0 = until;
     }
 
     /// Mark worker `w` idle.
     #[inline]
     pub fn set_idle(&mut self, w: WorkerId) {
-        self.busy[w] = false;
+        set_bit(&mut self.busy, w, false);
         self.avail_parts[w].0 = Time::ZERO;
     }
 
     /// Whether worker `w` is currently running a task.
     #[inline]
     pub fn is_busy(&self, w: WorkerId) -> bool {
-        self.busy[w]
+        self.busy[w / 64] >> (w % 64) & 1 != 0
+    }
+
+    /// The lowest worker `≥ from` that is idle and has queued entries, or
+    /// `None` — the only workers a start loop can start anything on. The
+    /// answer reflects the queues as they are now, so a loop that asks
+    /// again after each worker sees enqueues made in between.
+    #[inline]
+    pub fn next_idle_with_work(&self, from: WorkerId) -> Option<WorkerId> {
+        let first = from / 64;
+        (first..self.queued.len()).find_map(|i| {
+            let mut bits = self.queued[i] & !self.busy[i];
+            if i == first {
+                bits &= !0 << (from % 64);
+            }
+            (bits != 0).then(|| i * 64 + bits.trailing_zeros() as usize)
+        })
     }
 
     /// Whether worker `w` has queued tasks.
@@ -399,7 +429,19 @@ impl WorkerQueues {
     /// and its owned tasks must be re-dispatched onto the survivors.
     pub fn drain_worker(&mut self, w: WorkerId) -> Vec<QueueEntry> {
         self.avail_parts[w].1 = Time::ZERO;
+        set_bit(&mut self.queued, w, false);
         self.queues[w].drain(..).collect()
+    }
+}
+
+/// Set or clear worker `w`'s bit in a per-worker bitset.
+#[inline]
+fn set_bit(bits: &mut [u64], w: WorkerId, on: bool) {
+    let mask = 1u64 << (w % 64);
+    if on {
+        bits[w / 64] |= mask;
+    } else {
+        bits[w / 64] &= !mask;
     }
 }
 
@@ -409,9 +451,10 @@ impl WorkerQueues {
 /// defaults model free, instantaneous data); the simulator estimates and
 /// performs PCI prefetches through them.
 pub trait EngineHooks {
-    /// Estimated extra time to bring `task`'s missing inputs to worker
-    /// `w`'s memory node (consulted by completion-time heuristics).
-    fn transfer_estimate(&self, _task: TaskId, _w: WorkerId) -> Time {
+    /// Estimated extra time to bring `task`'s missing inputs to memory
+    /// node `node` (consulted by completion-time heuristics, once per
+    /// ready task and memory node).
+    fn transfer_estimate(&self, _task: TaskId, _node: MemNode) -> Time {
         Time::ZERO
     }
 
@@ -453,8 +496,8 @@ impl<H: EngineHooks + ?Sized> ExecutionView for QueueView<'_, H> {
     fn worker_available_at(&self, w: WorkerId) -> Time {
         self.avail[w]
     }
-    fn transfer_estimate(&self, task: TaskId, w: WorkerId) -> Time {
-        self.hooks.transfer_estimate(task, w)
+    fn transfer_estimate(&self, task: TaskId, node: MemNode) -> Time {
+        self.hooks.transfer_estimate(task, node)
     }
 }
 
@@ -478,8 +521,8 @@ impl<H: EngineHooks + ?Sized> ExecutionView for LiveQueueView<'_, H> {
     fn worker_available_at(&self, w: WorkerId) -> Time {
         self.queues.worker_available_at(w, self.now)
     }
-    fn transfer_estimate(&self, task: TaskId, w: WorkerId) -> Time {
-        self.hooks.transfer_estimate(task, w)
+    fn transfer_estimate(&self, task: TaskId, node: MemNode) -> Time {
+        self.hooks.transfer_estimate(task, node)
     }
 }
 
@@ -597,15 +640,16 @@ fn dispatch_inner<H: EngineHooks + ?Sized>(
     );
     if is_dead(w) {
         // The scheduler ignored the sentinel (e.g. a static mapping).
-        // Recovery overrides it: the live worker with the earliest
-        // estimated completion takes the task.
+        // Recovery overrides it: the live worker whose queue availability
+        // plus transfer estimate is earliest takes the task (kernel time
+        // left out; ties to the lowest id).
         w = (0..queues.n_workers())
             .filter(|&v| !is_dead(v))
             .min_by_key(|&v| {
                 (
                     queues
                         .worker_available_at(v, now)
-                        .saturating_add(hooks.transfer_estimate(task, v)),
+                        .saturating_add(hooks.transfer_estimate(task, ctx.platform.node_of(v))),
                     v,
                 )
             })?;

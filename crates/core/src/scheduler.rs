@@ -11,7 +11,7 @@
 //! paper, Section V-A).
 
 use crate::dag::TaskGraph;
-use crate::platform::{Platform, WorkerId};
+use crate::platform::{MemNode, Platform, WorkerId};
 use crate::profiles::TimingProfile;
 use crate::task::TaskId;
 use crate::time::Time;
@@ -40,9 +40,10 @@ pub trait ExecutionView {
     fn worker_available_at(&self, w: WorkerId) -> Time;
 
     /// Estimated extra time to bring `task`'s missing input tiles to
-    /// worker `w`'s memory node (zero when communications are disabled or
-    /// all data is already resident).
-    fn transfer_estimate(&self, task: TaskId, w: WorkerId) -> Time;
+    /// memory node `node` (zero when communications are disabled or all
+    /// data is already resident). Keyed by node, not worker: every worker
+    /// of a node shares the estimate, so a scan computes it once per node.
+    fn transfer_estimate(&self, task: TaskId, node: MemNode) -> Time;
 
     /// The worker in `workers` minimising [`estimated_completion`], ties
     /// broken towards the lowest id (StarPU's deterministic iteration
@@ -54,7 +55,10 @@ pub trait ExecutionView {
     /// vtable once per *assignment* instead of twice per *worker* — the
     /// body is monomorphised against the concrete view, so the engine's
     /// transfer-estimate hook inlines into the scan (DESIGN.md §13). The
-    /// per-task invariants (kernel, `now`) are hoisted out of the loop.
+    /// per-task invariants (kernel, `now`) are hoisted out of the loop,
+    /// and the kernel time and transfer estimate are recomputed only when
+    /// the worker's class or memory node differs from the previous
+    /// worker's: one tile walk per node, not per worker.
     fn min_completion_worker(
         &self,
         task: TaskId,
@@ -64,16 +68,21 @@ pub trait ExecutionView {
         let kernel = ctx.graph.task(task).kernel();
         let now = self.now();
         let mut best: Option<(Time, WorkerId)> = None;
-        // Workers are grouped by class, so one cached profile lookup
-        // serves each contiguous class run.
-        let mut cached = (usize::MAX, Time::ZERO);
+        // Workers are grouped by class and node, so one cached lookup of
+        // each serves a contiguous run of workers.
+        let mut exec = (usize::MAX, Time::ZERO);
+        let mut transfer = (usize::MAX, Time::ZERO);
         for w in workers {
             let class = ctx.platform.class_of(w);
-            if class != cached.0 {
-                cached = (class, ctx.profile.time(kernel, class));
+            if class != exec.0 {
+                exec = (class, ctx.profile.time(kernel, class));
+            }
+            let node = ctx.platform.node_of(w);
+            if node != transfer.0 {
+                transfer = (node, self.transfer_estimate(task, node));
             }
             let avail = self.worker_available_at(w).max(now);
-            let done = avail + self.transfer_estimate(task, w) + cached.1;
+            let done = avail + transfer.1 + exec.1;
             if best.is_none_or(|(b, _)| done < b) {
                 best = Some((done, w));
             }
@@ -133,7 +142,7 @@ pub fn estimated_completion(
     let class = ctx.platform.class_of(w);
     let exec = ctx.profile.time(ctx.graph.task(task).kernel(), class);
     let avail = view.worker_available_at(w).max(view.now());
-    avail + view.transfer_estimate(task, w) + exec
+    avail + view.transfer_estimate(task, ctx.platform.node_of(w)) + exec
 }
 
 /// A trivial [`ExecutionView`] for unit tests and static list scheduling:
@@ -153,7 +162,7 @@ impl ExecutionView for StaticView {
     fn worker_available_at(&self, w: WorkerId) -> Time {
         self.available.get(w).copied().unwrap_or(Time::ZERO)
     }
-    fn transfer_estimate(&self, _task: TaskId, _w: WorkerId) -> Time {
+    fn transfer_estimate(&self, _task: TaskId, _node: MemNode) -> Time {
         Time::ZERO
     }
 }

@@ -1,10 +1,16 @@
-//! Property tests for the execution core's dependency tracker: on random
-//! factorization DAGs, driven in arbitrary ready-set orders, every task is
-//! released exactly once and never before all of its predecessors.
+//! Property tests for the execution core: on random factorization DAGs,
+//! driven in arbitrary ready-set orders, the dependency tracker releases
+//! every task exactly once and never before all of its predecessors; the
+//! completion-time scan picks exactly the worker its definition picks;
+//! and the worker queues' idle-with-work set agrees with a linear scan.
 
 use hetchol_core::dag::TaskGraph;
-use hetchol_core::exec::DepTracker;
+use hetchol_core::exec::{DepTracker, WorkerQueues};
+use hetchol_core::platform::{MemNode, Platform, WorkerId};
+use hetchol_core::profiles::TimingProfile;
+use hetchol_core::scheduler::{estimated_completion, ExecutionView, SchedContext};
 use hetchol_core::task::TaskId;
+use hetchol_core::time::Time;
 use proptest::prelude::*;
 
 /// Drain the tracker with an adversarial ready-pick policy: at each step
@@ -89,5 +95,169 @@ proptest! {
         a.sort();
         b.sort();
         prop_assert_eq!(a, b);
+    }
+}
+
+/// SplitMix64 step: the properties below draw their many small choices
+/// from one sampled seed.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// An [`ExecutionView`] with random per-worker availabilities and a
+/// random transfer estimate per (task, memory node), each drawn from a
+/// handful of values so that completion times tie often.
+struct RandomView {
+    now: Time,
+    avail: Vec<Time>,
+    /// `transfer[task * n_nodes + node]`.
+    transfer: Vec<Time>,
+    n_nodes: usize,
+}
+
+impl RandomView {
+    fn new(graph: &TaskGraph, platform: &Platform, seed: u64) -> RandomView {
+        let mut state = seed;
+        let mut pick = |values: &[u64]| {
+            Time::from_millis(values[(splitmix(&mut state) % values.len() as u64) as usize])
+        };
+        let now = pick(&[0, 5, 10]);
+        let avail = platform.workers().map(|_| pick(&[0, 5, 10, 20])).collect();
+        let transfer = (0..graph.len() * platform.n_nodes())
+            .map(|_| pick(&[0, 1, 5]))
+            .collect();
+        RandomView {
+            now,
+            avail,
+            transfer,
+            n_nodes: platform.n_nodes(),
+        }
+    }
+}
+
+impl ExecutionView for RandomView {
+    fn now(&self) -> Time {
+        self.now
+    }
+    fn worker_available_at(&self, w: WorkerId) -> Time {
+        self.avail[w]
+    }
+    fn transfer_estimate(&self, task: TaskId, node: MemNode) -> Time {
+        self.transfer[task.index() * self.n_nodes + node]
+    }
+}
+
+/// What [`WorkerQueues::next_idle_with_work`] must answer, by a linear
+/// scan of a model kept beside the queues: for each start index, the
+/// lowest worker at or after it that is idle with a nonempty queue.
+fn model_next(busy: &[bool], depth: &[usize]) -> Vec<Option<WorkerId>> {
+    let n = busy.len();
+    (0..=n)
+        .map(|from| (from..n).find(|&w| !busy[w] && depth[w] > 0))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The scan (one transfer estimate per memory node, one kernel time
+    /// per class) picks the same worker as the per-worker definition
+    /// under `min_by_key` with ties to the lowest id, for every task of a
+    /// small Cholesky, over all workers and over each class.
+    #[test]
+    fn scan_matches_its_definition(seed in 0u64..u64::MAX) {
+        let graph = TaskGraph::cholesky(5);
+        let mirage = Platform::mirage();
+        for (platform, profile) in [
+            (mirage.clone(), TimingProfile::mirage()),
+            (mirage.without_comm(), TimingProfile::mirage()),
+            (Platform::homogeneous(3), TimingProfile::mirage_homogeneous()),
+        ] {
+            let ctx = SchedContext {
+                graph: &graph,
+                platform: &platform,
+                profile: &profile,
+            };
+            let view = RandomView::new(&graph, &platform, seed);
+            let mut ranges = vec![platform.workers()];
+            ranges.extend((0..platform.n_classes()).map(|c| platform.workers_in_class(c)));
+            for task in graph.tasks().iter().map(|t| t.id) {
+                for range in &ranges {
+                    let expect = range
+                        .clone()
+                        .min_by_key(|&w| (estimated_completion(task, w, &ctx, &view), w));
+                    prop_assert_eq!(
+                        view.min_completion_worker(task, &ctx, range.clone()),
+                        expect,
+                        "task {:?} over {:?}",
+                        task,
+                        range
+                    );
+                }
+            }
+        }
+    }
+
+    /// Random enqueues, gated pops, busy/idle flips and drains: after
+    /// every operation, at every start index, the idle-with-work query
+    /// agrees with a linear scan of a model — including at the 64-worker
+    /// word boundaries.
+    #[test]
+    fn idle_with_work_matches_a_linear_scan(seed in 0u64..u64::MAX) {
+        let mut state = seed;
+        for n in [1usize, 12, 64, 65, 130] {
+            let mut q = WorkerQueues::new(n);
+            let mut busy = vec![false; n];
+            let mut depth = vec![0usize; n];
+            for step in 0..300u32 {
+                let r = splitmix(&mut state);
+                let w = (r % n as u64) as usize;
+                match (r >> 32) % 20 {
+                    // Enqueue, FIFO or sorted, with tied priorities.
+                    0..=6 => {
+                        let prio = ((r >> 40) % 3) as i64;
+                        let sorted = (r >> 44) & 1 == 1;
+                        q.enqueue(w, TaskId(step), prio, Time::ZERO, Time::from_micros(1), sorted);
+                        depth[w] += 1;
+                    }
+                    // Pop through a gate: admit all, every other id, or
+                    // none (a held worker keeps its queue and its bit).
+                    7..=11 => {
+                        let gate = (r >> 40) % 3;
+                        let admit = |t: TaskId| match gate {
+                            0 => true,
+                            1 => t.0.is_multiple_of(2),
+                            _ => false,
+                        };
+                        if q.pop_startable(w, admit).is_some() {
+                            depth[w] -= 1;
+                        }
+                    }
+                    12..=14 => {
+                        q.set_busy_until(w, Time::from_micros(u64::from(step)));
+                        busy[w] = true;
+                    }
+                    15..=17 => {
+                        q.set_idle(w);
+                        busy[w] = false;
+                    }
+                    _ => {
+                        prop_assert_eq!(q.drain_worker(w).len(), depth[w]);
+                        depth[w] = 0;
+                    }
+                }
+                for v in 0..n {
+                    prop_assert_eq!(q.is_busy(v), busy[v]);
+                    prop_assert_eq!(q.depth(v), depth[v]);
+                }
+                let got: Vec<Option<WorkerId>> =
+                    (0..=n).map(|from| q.next_idle_with_work(from)).collect();
+                prop_assert_eq!(got, model_next(&busy, &depth), "n={} step {}", n, step);
+            }
+        }
     }
 }

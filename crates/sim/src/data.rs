@@ -14,7 +14,7 @@ use hetchol_core::trace::TransferEvent;
 /// Data-oriented layout (DESIGN.md §13): one `u64` validity bitmask per
 /// tile in a flat `dim × dim` vector indexed by `row * dim + col`. The
 /// scheduler's completion estimator reads this for every (ready task ×
-/// worker) pair, so the lookup must be a load, not a hash — the
+/// memory node) pair, so the lookup must be a load, not a hash — the
 /// `HashMap`-keyed predecessor (frozen in `crate::reference`) spent more
 /// time hashing tile coordinates than simulating.
 #[derive(Clone, Debug)]
@@ -118,16 +118,28 @@ pub struct Links {
     /// `to_device[node]` / `from_device[node]`: time the direction frees up.
     to_device: Vec<Time>,
     from_device: Vec<Time>,
+    /// Duration of one tile hop, computed once from the platform's
+    /// communication model; `None` when the platform has none.
+    hop: Option<Time>,
 }
 
 impl Links {
-    /// Idle links for `n_nodes` memory nodes (entry 0 is unused padding so
-    /// the vectors index by node).
-    pub fn new(n_nodes: usize) -> Links {
+    /// Idle links for `platform`'s memory nodes (entry 0 is unused padding
+    /// so the vectors index by node).
+    pub fn new(platform: &Platform) -> Links {
         Links {
-            to_device: vec![Time::ZERO; n_nodes],
-            from_device: vec![Time::ZERO; n_nodes],
+            to_device: vec![Time::ZERO; platform.n_nodes()],
+            from_device: vec![Time::ZERO; platform.n_nodes()],
+            hop: one_hop(platform),
         }
+    }
+
+    /// The contention-free duration of one tile hop between the host and
+    /// a device, or `None` on a communication-free platform (where
+    /// transfers are instantaneous and never logged).
+    #[inline]
+    pub(crate) fn hop(&self) -> Option<Time> {
+        self.hop
     }
 
     /// Reserve the link(s) to move one tile from `from` to `to`, not
@@ -136,7 +148,6 @@ impl Links {
     /// (two serialized hops), as on the paper's PCI topology.
     pub fn transfer(
         &mut self,
-        platform: &Platform,
         tile: Tile,
         from: MemNode,
         to: MemNode,
@@ -144,11 +155,10 @@ impl Links {
         log: &mut Vec<TransferEvent>,
     ) -> Time {
         debug_assert_ne!(from, to, "no transfer needed within a node");
-        let Some(comm) = platform.comm() else {
+        let Some(dur) = self.hop else {
             // Communication-free platform: transfers are instantaneous.
             return earliest;
         };
-        let dur = comm.transfer_time(/* tile bytes */ tile_bytes_for(platform));
         match (from, to) {
             (0, dev) => {
                 let start = earliest.max(self.to_device[dev]);
@@ -177,8 +187,8 @@ impl Links {
                 end
             }
             (src, dst) => {
-                let via_host = self.transfer(platform, tile, src, 0, earliest, log);
-                self.transfer(platform, tile, 0, dst, via_host, log)
+                let via_host = self.transfer(tile, src, 0, earliest, log);
+                self.transfer(tile, 0, dst, via_host, log)
             }
         }
     }
@@ -189,16 +199,23 @@ impl Links {
         if from == to {
             return Time::ZERO;
         }
-        let Some(comm) = platform.comm() else {
+        let Some(one) = one_hop(platform) else {
             return Time::ZERO;
         };
-        let one = comm.transfer_time(tile_bytes_for(platform));
         if from == 0 || to == 0 {
             one
         } else {
             one * 2
         }
     }
+}
+
+/// Duration of one tile hop under `platform`'s communication model, if
+/// it has one.
+fn one_hop(platform: &Platform) -> Option<Time> {
+    platform
+        .comm()
+        .map(|comm| comm.transfer_time(tile_bytes_for(platform)))
 }
 
 /// Tile footprint on this platform's matrices. The simulator works at the
@@ -240,12 +257,12 @@ mod tests {
     #[test]
     fn link_fifo_serialises_same_direction() {
         let platform = Platform::mirage();
-        let mut links = Links::new(platform.n_nodes());
+        let mut links = Links::new(&platform);
         let mut log = Vec::new();
         let t1 = Tile::new(1, 0);
         let t2 = Tile::new(2, 0);
-        let e1 = links.transfer(&platform, t1, 0, 1, Time::ZERO, &mut log);
-        let e2 = links.transfer(&platform, t2, 0, 1, Time::ZERO, &mut log);
+        let e1 = links.transfer(t1, 0, 1, Time::ZERO, &mut log);
+        let e2 = links.transfer(t2, 0, 1, Time::ZERO, &mut log);
         assert!(e2 >= e1 * 2 / 1, "second transfer queues behind the first");
         assert_eq!(log.len(), 2);
         assert_eq!(log[1].start, e1);
@@ -254,10 +271,10 @@ mod tests {
     #[test]
     fn opposite_directions_independent() {
         let platform = Platform::mirage();
-        let mut links = Links::new(platform.n_nodes());
+        let mut links = Links::new(&platform);
         let mut log = Vec::new();
-        let up = links.transfer(&platform, Tile::new(1, 0), 0, 1, Time::ZERO, &mut log);
-        let down = links.transfer(&platform, Tile::new(2, 0), 1, 0, Time::ZERO, &mut log);
+        let up = links.transfer(Tile::new(1, 0), 0, 1, Time::ZERO, &mut log);
+        let down = links.transfer(Tile::new(2, 0), 1, 0, Time::ZERO, &mut log);
         // Full duplex: both start at 0 and take the same time.
         assert_eq!(up, down);
     }
@@ -265,19 +282,19 @@ mod tests {
     #[test]
     fn different_devices_independent() {
         let platform = Platform::mirage();
-        let mut links = Links::new(platform.n_nodes());
+        let mut links = Links::new(&platform);
         let mut log = Vec::new();
-        let a = links.transfer(&platform, Tile::new(1, 0), 0, 1, Time::ZERO, &mut log);
-        let b = links.transfer(&platform, Tile::new(2, 0), 0, 2, Time::ZERO, &mut log);
+        let a = links.transfer(Tile::new(1, 0), 0, 1, Time::ZERO, &mut log);
+        let b = links.transfer(Tile::new(2, 0), 0, 2, Time::ZERO, &mut log);
         assert_eq!(a, b, "distinct PCI links do not contend");
     }
 
     #[test]
     fn device_to_device_via_host() {
         let platform = Platform::mirage();
-        let mut links = Links::new(platform.n_nodes());
+        let mut links = Links::new(&platform);
         let mut log = Vec::new();
-        let end = links.transfer(&platform, Tile::new(1, 0), 1, 2, Time::ZERO, &mut log);
+        let end = links.transfer(Tile::new(1, 0), 1, 2, Time::ZERO, &mut log);
         assert_eq!(log.len(), 2, "two hops");
         assert_eq!(log[0].to, 0);
         assert_eq!(log[1].from, 0);
@@ -288,16 +305,9 @@ mod tests {
     #[test]
     fn comm_free_platform_transfers_instantly() {
         let platform = Platform::mirage().without_comm();
-        let mut links = Links::new(platform.n_nodes());
+        let mut links = Links::new(&platform);
         let mut log = Vec::new();
-        let end = links.transfer(
-            &platform,
-            Tile::new(1, 0),
-            0,
-            1,
-            Time::from_millis(5),
-            &mut log,
-        );
+        let end = links.transfer(Tile::new(1, 0), 0, 1, Time::from_millis(5), &mut log);
         assert_eq!(end, Time::from_millis(5));
         assert!(log.is_empty());
         assert_eq!(Links::estimate(&platform, 0, 1), Time::ZERO);
@@ -312,5 +322,16 @@ mod tests {
         assert_eq!(Links::estimate(&platform, 1, 1), Time::ZERO);
         // ~0.93 ms for a 7.37 MB tile at 8 GB/s + 10 us.
         assert!((one.as_millis_f64() - 0.9316).abs() < 0.01, "{one}");
+    }
+
+    #[test]
+    fn hop_is_the_single_hop_estimate() {
+        let platform = Platform::mirage();
+        let mut links = Links::new(&platform);
+        assert_eq!(links.hop(), Some(Links::estimate(&platform, 0, 1)));
+        let mut log = Vec::new();
+        let end = links.transfer(Tile::new(1, 0), 0, 3, Time::ZERO, &mut log);
+        assert_eq!(Some(end), links.hop());
+        assert_eq!(Links::new(&platform.without_comm()).hop(), None);
     }
 }

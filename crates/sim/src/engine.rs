@@ -23,7 +23,7 @@ use hetchol_core::fault::{
 };
 use hetchol_core::metrics;
 use hetchol_core::obs::{ObsReport, ObsSink};
-use hetchol_core::platform::{Platform, WorkerId};
+use hetchol_core::platform::{MemNode, Platform, WorkerId};
 use hetchol_core::profiles::TimingProfile;
 use hetchol_core::scheduler::{SchedContext, Scheduler};
 use hetchol_core::task::TaskId;
@@ -95,28 +95,25 @@ impl SimResult {
 /// Data-oriented layout (DESIGN.md §13): the hooks read each task's
 /// accesses from the graph's flat access arena
 /// ([`TaskGraph::accesses_of`]) and turn each tile into its flat index
-/// with [`Residency::index_of`] (one multiply-add), and single-hop
-/// transfer estimates are precomputed per platform. The hooks — called
-/// for every (ready task × worker) pair by `dmda`-style schedulers — thus
-/// reduce to array walks over the flat [`Residency`] bitmasks, with no
-/// hashing and no allocation. The `HashMap`-plus-`Vec`-per-call
+/// with [`Residency::index_of`] (one multiply-add), and the one-hop
+/// transfer duration is computed once per run, when the [`Links`] are
+/// built. The estimate hook — called once per (ready task × memory node)
+/// pair by `dmda`-style schedulers — and the prefetch hook thus reduce
+/// to array walks over the flat [`Residency`] bitmasks, with no hashing,
+/// no allocation and no floating point. The `HashMap`-plus-`Vec`-per-call
 /// predecessor is frozen in [`crate::reference`] as the benchmark baseline.
+///
+/// A platform with no communication model ([`Links::hop`] is `None`)
+/// makes residency irrelevant to every output — estimates are zero and
+/// transfers complete instantly without logging — so every hook returns
+/// immediately there instead of walking the access table.
 struct SimData<'a> {
     platform: &'a Platform,
     graph: &'a TaskGraph,
     residency: Residency,
     links: Links,
-    /// Prefetch transfers recorded here, merged into the trace at the end.
+    /// Prefetch transfers recorded here, moved into the trace at the end.
     transfers: Vec<TransferEvent>,
-    /// Contention-free one-hop transfer estimate (`Time::ZERO` comm-free).
-    hop1: Time,
-    /// Two-hop (device→host→device) estimate.
-    hop2: Time,
-    /// The platform has no communication model at all. Residency then
-    /// never influences any output — estimates are zero and
-    /// [`Links::transfer`] completes instantly without logging — so every
-    /// hook can return immediately instead of walking the access table.
-    comm_free: bool,
 }
 
 impl<'a> SimData<'a> {
@@ -126,11 +123,8 @@ impl<'a> SimData<'a> {
             platform,
             graph,
             residency: Residency::new(platform.n_nodes(), graph.n_tiles()),
-            links: Links::new(platform.n_nodes()),
+            links: Links::new(platform),
             transfers: Vec::new(),
-            hop1: Links::estimate(platform, 0, 1),
-            hop2: Links::estimate(platform, 1, 2),
-            comm_free: platform.comm().is_none(),
         }
     }
 
@@ -138,7 +132,7 @@ impl<'a> SimData<'a> {
     /// each write invalidates every other copy of the written tile (QR's
     /// TSQRT/TSMQR write two tiles; iterate the full write set).
     fn invalidate_writes(&mut self, task: TaskId, w: WorkerId) {
-        if self.comm_free {
+        if self.links.hop().is_none() {
             return;
         }
         let node = self.platform.node_of(w);
@@ -150,32 +144,38 @@ impl<'a> SimData<'a> {
         }
     }
 
-    /// Move the accumulated prefetch transfers into the trace.
+    /// Move the accumulated prefetch transfers into the trace, whose
+    /// transfer log is still empty: the prefetch log is its only source.
     fn merge_transfers(&mut self, recorder: &mut TraceRecorder) {
-        recorder.transfers_mut().append(&mut self.transfers);
+        let log = recorder.transfers_mut();
+        debug_assert!(
+            log.is_empty(),
+            "the prefetch log is the only transfer source"
+        );
+        *log = std::mem::take(&mut self.transfers);
     }
 }
 
 impl EngineHooks for SimData<'_> {
     #[inline]
-    fn transfer_estimate(&self, task: TaskId, w: WorkerId) -> Time {
+    fn transfer_estimate(&self, task: TaskId, node: MemNode) -> Time {
         // Comm-free platform: every estimate is zero, and the scheduler
-        // asks for one per (ready task × worker) pair.
-        if self.hop1 == Time::ZERO {
+        // asks for one per (ready task × memory node) pair.
+        let Some(hop) = self.links.hop() else {
             return Time::ZERO;
-        }
-        let node = self.platform.node_of(w);
+        };
         let mut total = Time::ZERO;
         for access in self.graph.accesses_of(task) {
             let mask = self.residency.mask_at(self.residency.index_of(access.tile));
             if mask & (1 << node) == 0 {
                 // Source preference mirrors `Residency::source_for_idx`:
-                // the host when it holds a copy, else the lowest node.
+                // the host when it holds a copy, else the lowest node,
+                // two hops away through the host.
                 let src_is_host = mask & 1 != 0;
                 total += if src_is_host || node == 0 {
-                    self.hop1
+                    hop
                 } else {
-                    self.hop2
+                    hop * 2
                 };
             }
         }
@@ -184,7 +184,7 @@ impl EngineHooks for SimData<'_> {
 
     /// Prefetch missing tiles to the assigned worker's node.
     fn data_ready(&mut self, task: TaskId, w: WorkerId, now: Time) -> Time {
-        if self.comm_free {
+        if self.links.hop().is_none() {
             return now;
         }
         let node = self.platform.node_of(w);
@@ -193,14 +193,9 @@ impl EngineHooks for SimData<'_> {
             let idx = self.residency.index_of(access.tile);
             if !self.residency.is_valid_idx(idx, node) {
                 let src = self.residency.source_for_idx(idx);
-                let end = self.links.transfer(
-                    self.platform,
-                    access.tile,
-                    src,
-                    node,
-                    now,
-                    &mut self.transfers,
-                );
+                let end = self
+                    .links
+                    .transfer(access.tile, src, node, now, &mut self.transfers);
                 self.residency.add_copy_idx(idx, node);
                 data_ready = data_ready.max(end);
             }
@@ -480,12 +475,15 @@ fn sim_run<const RESILIENT: bool>(
         }
 
         // Dispatch: start the next startable queued task of every idle
-        // worker (the `may_start` gate lets schedule injection hold a
-        // worker for its planned-next task instead of backfilling).
-        for w in 0..n_workers {
-            if queues.is_busy(w) {
-                continue;
-            }
+        // worker with queued work, in worker order (the `may_start` gate
+        // lets schedule injection hold a worker for its planned-next task
+        // instead of backfilling; a held worker stays in the set). Ask
+        // again after each worker: a start may reap a doomed worker and
+        // re-dispatch its queue onto a higher idle worker, which must
+        // start in this same pass.
+        let mut from = 0;
+        while let Some(w) = queues.next_idle_with_work(from) {
+            from = w + 1;
             if RESILIENT && faults.as_deref().is_some_and(|f| f.is_dead(w)) {
                 continue;
             }

@@ -105,7 +105,7 @@ impl<'a> RefSimData<'a> {
             platform,
             graph,
             residency: RefResidency::new(platform.n_nodes()),
-            links: Links::new(platform.n_nodes()),
+            links: Links::new(platform),
             transfers: Vec::new(),
         }
     }
@@ -123,8 +123,7 @@ impl<'a> RefSimData<'a> {
         recorder.transfers_mut().append(&mut self.transfers);
     }
 
-    fn transfer_estimate(&self, task: TaskId, w: WorkerId) -> Time {
-        let node = self.platform.node_of(w);
+    fn transfer_estimate(&self, task: TaskId, node: MemNode) -> Time {
         let mut total = Time::ZERO;
         for access in self.graph.task(task).coords.accesses() {
             if !self.residency.is_valid_at(access.tile, node) {
@@ -141,14 +140,9 @@ impl<'a> RefSimData<'a> {
         for access in self.graph.task(task).coords.accesses() {
             if !self.residency.is_valid_at(access.tile, node) {
                 let src = self.residency.source_for(access.tile);
-                let end = self.links.transfer(
-                    self.platform,
-                    access.tile,
-                    src,
-                    node,
-                    now,
-                    &mut self.transfers,
-                );
+                let end = self
+                    .links
+                    .transfer(access.tile, src, node, now, &mut self.transfers);
                 self.residency.add_copy(access.tile, node);
                 data_ready = data_ready.max(end);
             }
@@ -327,8 +321,8 @@ impl ExecutionView for RefView<'_> {
     fn worker_available_at(&self, w: WorkerId) -> Time {
         self.avail[w]
     }
-    fn transfer_estimate(&self, task: TaskId, w: WorkerId) -> Time {
-        self.hooks.transfer_estimate(task, w)
+    fn transfer_estimate(&self, task: TaskId, node: MemNode) -> Time {
+        self.hooks.transfer_estimate(task, node)
     }
 }
 
@@ -375,7 +369,7 @@ fn dispatch(
                 (
                     queues
                         .worker_available_at(v, now)
-                        .saturating_add(data.transfer_estimate(task, v)),
+                        .saturating_add(data.transfer_estimate(task, ctx.platform.node_of(v))),
                     v,
                 )
             })?;
