@@ -19,55 +19,94 @@
 //! evict least-recently-used entries on insert, with evictions counted
 //! in the same snapshot. Values are pure functions of their keys, so an
 //! eviction only ever costs recomputation, never correctness.
+//!
+//! Recency is kept by `Recency`, a stamp-ordered index the job store
+//! evicts through as well: every lookup hit, peek and insert re-stamps
+//! its key, and an eviction pops the oldest stamp — O(log entries), never
+//! a scan of the map.
 
 use parking_lot::{explore, Mutex, MutexGuard};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 fn zero_weight<V>(_: &V) -> usize {
     0
 }
 
+/// Least-recently-used order over the evictable keys of one map. Each
+/// key holds a stamp from a clock that only increments, so stamps are
+/// unique and the first entry of the stamp-ordered map is the least
+/// recently used key. Every operation is O(log keys).
+#[derive(Default)]
+pub(crate) struct Recency {
+    clock: u64,
+    order: BTreeMap<u64, u64>,
+}
+
+impl Recency {
+    /// Index `key` as the most recently used; returns its stamp.
+    pub(crate) fn push(&mut self, key: u64) -> u64 {
+        self.clock += 1;
+        self.order.insert(self.clock, key);
+        self.clock
+    }
+
+    /// Re-stamp the key indexed at `stamp` as the most recently used;
+    /// returns its new stamp.
+    pub(crate) fn refresh(&mut self, stamp: u64) -> u64 {
+        let key = self
+            .order
+            .remove(&stamp)
+            .expect("a refreshed stamp is indexed");
+        self.push(key)
+    }
+
+    /// Drop the key indexed at `stamp`.
+    pub(crate) fn remove(&mut self, stamp: u64) {
+        self.order.remove(&stamp);
+    }
+
+    /// Remove and return the least recently used key.
+    pub(crate) fn pop_oldest(&mut self) -> Option<u64> {
+        self.order.pop_first().map(|(_, key)| key)
+    }
+}
+
 struct Entry<V> {
     value: Arc<V>,
-    last_used: u64,
+    stamp: u64,
     weight: usize,
 }
 
 struct Inner<V> {
     map: HashMap<u64, Entry<V>>,
+    recency: Recency,
     hits: u64,
     misses: u64,
     gets: u64,
     bytes: usize,
-    clock: u64,
     evicted: u64,
     evicted_bytes: u64,
 }
 
 impl<V> Inner<V> {
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
     fn touch_entry(&mut self, key: u64) -> Option<Arc<V>> {
-        let stamp = self.tick();
         let entry = self.map.get_mut(&key)?;
-        entry.last_used = stamp;
+        entry.stamp = self.recency.refresh(entry.stamp);
         Some(entry.value.clone())
     }
 
     fn insert_weighed(&mut self, key: u64, value: Arc<V>, weight: usize) {
-        let stamp = self.tick();
+        let stamp = self.recency.push(key);
         if let Some(old) = self.map.insert(
             key,
             Entry {
                 value,
-                last_used: stamp,
+                stamp,
                 weight,
             },
         ) {
+            self.recency.remove(old.stamp);
             self.bytes -= old.weight;
         }
         self.bytes += weight;
@@ -81,19 +120,13 @@ impl<V> Inner<V> {
             && ((max_entries > 0 && self.map.len() > max_entries)
                 || (max_bytes > 0 && self.bytes > max_bytes))
         {
-            let Some(&lru) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
-            else {
+            let Some(lru) = self.recency.pop_oldest() else {
                 break;
             };
-            if let Some(gone) = self.map.remove(&lru) {
-                self.bytes -= gone.weight;
-                self.evicted += 1;
-                self.evicted_bytes += gone.weight as u64;
-            }
+            let gone = self.map.remove(&lru).expect("every indexed key is cached");
+            self.bytes -= gone.weight;
+            self.evicted += 1;
+            self.evicted_bytes += gone.weight as u64;
         }
     }
 }
@@ -176,11 +209,11 @@ impl<V> CountedCache<V> {
             weigher,
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                recency: Recency::default(),
                 hits: 0,
                 misses: 0,
                 gets: 0,
                 bytes: 0,
-                clock: 0,
                 evicted: 0,
                 evicted_bytes: 0,
             }),

@@ -15,7 +15,16 @@
 //! resident: eviction only ever trades RAM for a disk read, never for
 //! an answer.
 //!
-//! The slot map lives behind the instrumented `parking_lot` shim so the
+//! Three structures hold that state. Resident jobs sit in a map the caps
+//! bound. Every persisted job, resident or evicted, keeps one
+//! `(id, offset, frame_bytes)` entry of 24 bytes in a column ordered by
+//! id, found by binary search; that entry is all an evicted job costs,
+//! so the column still grows with the log's history. Resident persisted
+//! jobs are stamped in the same recency index the results cache uses
+//! ([`crate::cache`]), so choosing a victim pops its oldest stamp:
+//! O(log resident), however many jobs the store has ever held.
+//!
+//! The job maps live behind the instrumented `parking_lot` shim so the
 //! happens-before recorder sees every insert, lookup, eviction and
 //! reload; the labelled touchpoints make a dropped-lock mutation show up
 //! as a reported data race rather than silent corruption. Rehydration
@@ -24,6 +33,7 @@
 //! lock order is still store → caches, and the DPOR model tree gains no
 //! schedule points.
 
+use crate::cache::Recency;
 use crate::wal::{Appended, JobLog, ScannedRecord, WalRecord};
 use hetchol::job::{JobError, JobOutcome, JobSpec};
 use hetchol_analyze::Report;
@@ -113,78 +123,101 @@ impl StoredJob {
     }
 }
 
-/// One job's slot: resident (`job` is `Some`), or evicted down to its
-/// log offset, ready to reload.
-struct Slot {
-    job: Option<Arc<StoredJob>>,
-    offset: Option<u64>,
+/// A resident job and what evicting it releases.
+struct Resident {
+    job: Arc<StoredJob>,
+    /// The job's stamp in the recency index; `None` for a pinned
+    /// (unpersisted) job, which is never evicted.
+    stamp: Option<u64>,
+    /// Log frame bytes counted in `resident_bytes` (0 when pinned).
     bytes: usize,
-    last_used: u64,
 }
 
+/// Where a persisted job's record sits in the log: all an evicted job
+/// costs. Its three words are at most 24 bytes.
+#[derive(Copy, Clone)]
+struct Persisted {
+    id: u64,
+    offset: u64,
+    frame_bytes: usize,
+}
+
+const _: () = assert!(std::mem::size_of::<Persisted>() <= 24);
+
 struct Jobs {
-    slots: HashMap<u64, Slot>,
-    resident: usize,
+    /// Resident jobs by id; the caps bound it.
+    resident: HashMap<u64, Resident>,
+    /// Every persisted job, resident or evicted, ordered by id. Commits
+    /// arrive in near-id order, so an insert lands at or near the end.
+    persisted: Vec<Persisted>,
+    /// Resident persisted jobs, least recently used first.
+    recency: Recency,
+    /// Distinct ids stored, resident or evicted.
+    stored: usize,
     resident_bytes: usize,
-    clock: u64,
     evicted: u64,
     evicted_bytes: u64,
     reloads: u64,
 }
 
 impl Jobs {
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    fn insert_slot(&mut self, job: Arc<StoredJob>, persisted: Option<&Appended>) {
-        let stamp = self.tick();
-        let bytes = persisted.map_or(0, |a| a.frame_bytes);
-        let old = self.slots.insert(
-            job.id,
-            Slot {
-                job: Some(job),
-                offset: persisted.map(|a| a.offset),
-                bytes,
-                last_used: stamp,
-            },
-        );
-        if let Some(old) = old {
-            if old.job.is_some() {
-                self.resident -= 1;
-                self.resident_bytes -= old.bytes;
+    /// Make `job` resident: evictable when `frame_bytes` (its log frame)
+    /// is known, pinned otherwise. Replaces a resident job of the same id.
+    fn admit(&mut self, job: Arc<StoredJob>, frame_bytes: Option<usize>) {
+        let id = job.id;
+        let bytes = frame_bytes.unwrap_or(0);
+        let stamp = frame_bytes.map(|_| self.recency.push(id));
+        if let Some(old) = self.resident.insert(id, Resident { job, stamp, bytes }) {
+            self.resident_bytes -= old.bytes;
+            if let Some(stamp) = old.stamp {
+                self.recency.remove(stamp);
             }
         }
-        self.resident += 1;
         self.resident_bytes += bytes;
     }
 
-    /// Evict resident, *persisted* slots least-recently-used first until
+    fn insert_job(&mut self, job: Arc<StoredJob>, appended: Option<&Appended>) {
+        let id = job.id;
+        let at = self.persisted.binary_search_by_key(&id, |p| p.id);
+        if at.is_err() && !self.resident.contains_key(&id) {
+            self.stored += 1;
+        }
+        // An unpersisted job is pinned and never leaves residency, so an
+        // older record of its id is never read again and may stay.
+        if let Some(a) = appended {
+            let entry = Persisted {
+                id,
+                offset: a.offset,
+                frame_bytes: a.frame_bytes,
+            };
+            match at {
+                Ok(i) => self.persisted[i] = entry,
+                Err(i) => self.persisted.insert(i, entry),
+            }
+        }
+        self.admit(job, appended.map(|a| a.frame_bytes));
+    }
+
+    /// Evict resident, *persisted* jobs least-recently-used first until
     /// under both caps (0 = unbounded). Unpersisted jobs are pinned —
     /// they exist nowhere else — and at least one resident job always
     /// survives, so a single oversized trace cannot thrash the store
     /// empty.
     fn evict_over(&mut self, max_resident: usize, max_bytes: usize) {
-        while self.resident > 1
-            && ((max_resident > 0 && self.resident > max_resident)
+        while self.resident.len() > 1
+            && ((max_resident > 0 && self.resident.len() > max_resident)
                 || (max_bytes > 0 && self.resident_bytes > max_bytes))
         {
-            let victim = self
-                .slots
-                .iter()
-                .filter(|(_, s)| s.job.is_some() && s.offset.is_some())
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(&id, _)| id);
-            let Some(id) = victim else {
+            let Some(id) = self.recency.pop_oldest() else {
                 break; // Everything left is pinned.
             };
-            let slot = self.slots.get_mut(&id).expect("victim exists");
-            slot.job = None;
-            self.resident -= 1;
-            self.resident_bytes -= slot.bytes;
+            let gone = self
+                .resident
+                .remove(&id)
+                .expect("indexed jobs are resident");
+            self.resident_bytes -= gone.bytes;
             self.evicted += 1;
-            self.evicted_bytes += slot.bytes as u64;
+            self.evicted_bytes += gone.bytes as u64;
         }
     }
 }
@@ -230,19 +263,19 @@ pub struct JobsGuard<'a> {
 impl JobsGuard<'_> {
     /// Number of stored jobs (resident or evicted), under the held lock.
     pub fn len(&self) -> usize {
-        self.guard.slots.len()
+        self.guard.stored
     }
 
     /// Whether the store is empty, under the held lock.
     pub fn is_empty(&self) -> bool {
-        self.guard.slots.is_empty()
+        self.guard.stored == 0
     }
 
     /// One coherent accounting snapshot, under the held lock.
     pub fn snapshot(&self) -> StoreSnapshot {
         StoreSnapshot {
-            stored: self.guard.slots.len(),
-            resident: self.guard.resident,
+            stored: self.guard.stored,
+            resident: self.guard.resident.len(),
             resident_bytes: self.guard.resident_bytes,
             evicted: self.guard.evicted,
             evicted_bytes: self.guard.evicted_bytes,
@@ -264,10 +297,11 @@ impl JobStore {
     pub fn with_caps(max_resident: usize, max_resident_bytes: usize) -> JobStore {
         let store = JobStore {
             jobs: Mutex::new(Jobs {
-                slots: HashMap::new(),
-                resident: 0,
+                resident: HashMap::new(),
+                persisted: Vec::new(),
+                recency: Recency::default(),
+                stored: 0,
                 resident_bytes: 0,
-                clock: 0,
                 evicted: 0,
                 evicted_bytes: 0,
                 reloads: 0,
@@ -281,7 +315,7 @@ impl JobStore {
         store
     }
 
-    /// Attach the job log evicted slots reload from. Set once, at
+    /// Attach the job log evicted jobs reload from. Set once, at
     /// startup, before the pool runs.
     pub fn attach_log(&self, log: Arc<JobLog>) {
         assert!(self.log.set(log).is_ok(), "job log attached twice");
@@ -292,26 +326,34 @@ impl JobStore {
         self.log.get()
     }
 
-    /// Seed the store from recovered log records: every job enters
-    /// *evicted* (offset-indexed, zero resident bytes) so a restarted
-    /// server's memory stays bounded no matter how long the log is, and
-    /// `next_id` moves past the highest recovered id.
+    /// Seed the store from recovered log records, at startup, before it
+    /// holds any resident job: every job enters *evicted* (one
+    /// `(offset, frame_bytes)` entry, zero resident bytes), a later
+    /// record of an id replaces an earlier one, and `next_id` moves past
+    /// the highest recovered id.
     pub fn recover(&self, records: &[ScannedRecord]) {
         let mut jobs = self.jobs.lock();
         explore::touch(STORE_LOCK_LABEL, true);
-        let mut max_id = 0;
-        for rec in records {
-            max_id = max_id.max(rec.record.id);
-            jobs.slots.insert(
-                rec.record.id,
-                Slot {
-                    job: None,
-                    offset: Some(rec.offset),
-                    bytes: rec.frame_bytes,
-                    last_used: 0,
-                },
-            );
-        }
+        assert!(
+            jobs.resident.is_empty(),
+            "recover seeds a store that holds no resident job"
+        );
+        jobs.persisted.extend(records.iter().map(|rec| Persisted {
+            id: rec.record.id,
+            offset: rec.offset,
+            frame_bytes: rec.frame_bytes,
+        }));
+        // Stable, so of two records with one id the later stays later.
+        jobs.persisted.sort_by_key(|p| p.id);
+        jobs.persisted.dedup_by(|later, kept| {
+            let same = later.id == kept.id;
+            if same {
+                *kept = *later;
+            }
+            same
+        });
+        jobs.stored = jobs.persisted.len();
+        let max_id = jobs.persisted.last().map_or(0, |p| p.id);
         drop(jobs);
         self.next_id.fetch_max(max_id + 1, Ordering::Relaxed);
     }
@@ -331,7 +373,7 @@ impl JobStore {
     pub fn insert(&self, job: Arc<StoredJob>) {
         let mut jobs = self.jobs.lock();
         explore::touch(STORE_LOCK_LABEL, true);
-        jobs.insert_slot(job, None);
+        jobs.insert_job(job, None);
         jobs.evict_over(self.max_resident, self.max_resident_bytes);
     }
 
@@ -348,7 +390,7 @@ impl JobStore {
     ) -> StoreGuard<'_> {
         let mut jobs = self.jobs.lock();
         explore::touch(STORE_LOCK_LABEL, true);
-        jobs.insert_slot(job, persisted);
+        jobs.insert_job(job, persisted);
         jobs.evict_over(self.max_resident, self.max_resident_bytes);
         StoreGuard { _guard: jobs }
     }
@@ -361,7 +403,7 @@ impl JobStore {
     pub fn insert_unsynced(&self, job: Arc<StoredJob>) {
         {
             let mut jobs = self.jobs.lock();
-            jobs.insert_slot(job, None);
+            jobs.insert_job(job, None);
         }
         explore::touch(STORE_LOCK_LABEL, true);
     }
@@ -374,37 +416,30 @@ impl JobStore {
     }
 
     /// Fetch a job by id. An evicted job is reloaded from the log record
-    /// at its slot's offset — transparently, counted in
+    /// at its offset — transparently, counted in
     /// [`StoreSnapshot::reloads`] — and becomes resident again (possibly
     /// evicting a colder persisted job in its place). The log read
     /// happens under the store lock; the log's own lock is `std`, so no
     /// shim-lock cycle is possible.
     pub fn get(&self, id: u64) -> Option<Arc<StoredJob>> {
-        let mut jobs = self.jobs.lock();
+        let mut guard = self.jobs.lock();
         explore::touch(STORE_LOCK_LABEL, false);
-        let (resident, offset) = {
-            let slot = jobs.slots.get_mut(&id)?;
-            (slot.job.clone(), slot.offset)
-        };
-        if let Some(job) = resident {
-            let stamp = jobs.tick();
-            jobs.slots.get_mut(&id).expect("slot exists").last_used = stamp;
-            return Some(job);
+        let jobs = &mut *guard;
+        if let Some(resident) = jobs.resident.get_mut(&id) {
+            if let Some(stamp) = resident.stamp {
+                resident.stamp = Some(jobs.recency.refresh(stamp));
+            }
+            return Some(resident.job.clone());
         }
-        let offset = offset?;
-        let record = self.log.get()?.read(offset).ok()?;
+        let i = jobs.persisted.binary_search_by_key(&id, |p| p.id).ok()?;
+        let at = jobs.persisted[i];
+        let record = self.log.get()?.read(at.offset).ok()?;
         if record.id != id {
             return None; // A log rewritten underneath us; refuse to lie.
         }
         explore::touch(STORE_LOCK_LABEL, true);
         let job = Arc::new(StoredJob::rehydrated(record));
-        let stamp = jobs.tick();
-        let slot = jobs.slots.get_mut(&id).expect("slot exists");
-        slot.job = Some(job.clone());
-        slot.last_used = stamp;
-        let bytes = slot.bytes;
-        jobs.resident += 1;
-        jobs.resident_bytes += bytes;
+        jobs.admit(job.clone(), Some(at.frame_bytes));
         jobs.reloads += 1;
         jobs.evict_over(self.max_resident, self.max_resident_bytes);
         Some(job)

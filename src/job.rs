@@ -507,7 +507,6 @@ impl JobSpec {
                 platform.n_classes()
             )));
         }
-        let graph = self.workload.graph(self.n);
         let spec_hash = self.content_hash();
 
         let mut bounds = None;
@@ -533,6 +532,7 @@ impl JobSpec {
         let mut sim = None;
         let mut lint = None;
         if matches!(self.action, JobAction::Simulate | JobAction::Lint) {
+            let graph = self.workload.graph(self.n);
             let opts = if self.jitter {
                 SimOptions::actual(self.seed)
             } else {
