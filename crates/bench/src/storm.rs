@@ -561,8 +561,8 @@ fn spawn_serve(exe: &Path, log: &Path) -> std::io::Result<(std::process::Child, 
 
 /// The kill-restart leg: SIGKILL a `repro serve --log` child mid-storm,
 /// restart it on the same log, and require every pre-kill committed
-/// trace to re-serve bitwise-identical. The restarted child must then
-/// drain cleanly and leave a log with no torn records.
+/// trace and lint report to re-serve bitwise-identical. The restarted
+/// child must then drain cleanly and leave a log with no torn records.
 fn kill_restart_leg(serve_exe: &Path) -> LegReport {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -584,10 +584,11 @@ fn kill_restart_leg(serve_exe: &Path) -> LegReport {
         }
     };
 
-    // Wave 1: commits whose traces must survive the kill. Every
-    // submission and trace fetch here runs against a healthy server —
-    // any failure is a dropped connection and fails the leg.
-    let mut traces: Vec<(u64, String)> = Vec::new();
+    // Wave 1: commits whose traces and lint reports must survive the
+    // kill. Every submission, trace and lint fetch here runs against a
+    // healthy server — any failure is a dropped connection and fails the
+    // leg.
+    let mut traces: Vec<(u64, String, String)> = Vec::new();
     for i in 0..6u64 {
         match post_with_retry(addr, &durable_spec(6, 2000 + i).to_json()) {
             Ok((200, response)) => {
@@ -599,10 +600,21 @@ fn kill_restart_leg(serve_exe: &Path) -> LegReport {
                     leg.fail("200 body without a job_id".into());
                     continue;
                 };
-                match client::get(addr, &format!("/jobs/{id}/trace")) {
-                    Ok((200, trace)) => traces.push((id, trace)),
-                    Ok((status, _)) => leg.fail(format!("job {id} trace answered {status}")),
-                    Err(e) => leg.fail(format!("job {id} trace dropped: {e}")),
+                let [trace, lint] = ["trace", "lint"].map(|sub| {
+                    match client::get(addr, &format!("/jobs/{id}/{sub}")) {
+                        Ok((200, body)) => Some(body),
+                        Ok((status, _)) => {
+                            leg.fail(format!("job {id} {sub} answered {status}"));
+                            None
+                        }
+                        Err(e) => {
+                            leg.fail(format!("job {id} {sub} dropped: {e}"));
+                            None
+                        }
+                    }
+                });
+                if let (Some(trace), Some(lint)) = (trace, lint) {
+                    traces.push((id, trace, lint));
                 }
             }
             Ok((status, _)) => leg.fail(format!("wave-1 submission answered {status}")),
@@ -640,7 +652,8 @@ fn kill_restart_leg(serve_exe: &Path) -> LegReport {
     let wave2: u64 = workers.into_iter().map(|h| h.join().unwrap_or(0)).sum();
 
     // Restart on the same log: every pre-kill trace must come back
-    // byte-for-byte, served from the recovered log.
+    // byte-for-byte, served from the recovered log, and every lint report
+    // re-derived from the recovered spec must match byte-for-byte too.
     let (mut child2, addr2) = match spawn_serve(serve_exe, &log) {
         Ok(started) => started,
         Err(e) => {
@@ -649,15 +662,21 @@ fn kill_restart_leg(serve_exe: &Path) -> LegReport {
         }
     };
     let mut identical = 0usize;
-    for (id, want) in &traces {
-        match client::get(addr2, &format!("/jobs/{id}/trace")) {
-            Ok((200, got)) if got == *want => identical += 1,
-            Ok((status, got)) => leg.fail(format!(
-                "job {id} trace not bitwise-identical after restart (status {status}, {} vs {} bytes)",
-                got.len(),
-                want.len()
-            )),
-            Err(e) => leg.fail(format!("job {id} trace dropped after restart: {e}")),
+    let mut lint_identical = 0usize;
+    for (id, trace, lint) in &traces {
+        for (sub, want, same) in [
+            ("trace", trace, &mut identical),
+            ("lint", lint, &mut lint_identical),
+        ] {
+            match client::get(addr2, &format!("/jobs/{id}/{sub}")) {
+                Ok((200, got)) if got == *want => *same += 1,
+                Ok((status, got)) => leg.fail(format!(
+                    "job {id} {sub} not bitwise-identical after restart (status {status}, {} vs {} bytes)",
+                    got.len(),
+                    want.len()
+                )),
+                Err(e) => leg.fail(format!("job {id} {sub} dropped after restart: {e}")),
+            }
         }
     }
 
@@ -689,7 +708,7 @@ fn kill_restart_leg(serve_exe: &Path) -> LegReport {
     let _ = std::fs::remove_dir_all(&dir);
 
     leg.lines.push(format!(
-        "{} pre-kill traces ({identical} bitwise-identical after restart), {wave2} mid-kill submission(s), final log {} record(s) ({})",
+        "{} pre-kill traces ({identical} bitwise-identical after restart, {lint_identical} lint reports identical), {wave2} mid-kill submission(s), final log {} record(s) ({})",
         traces.len(),
         records.len(),
         if report.torn.is_some() { "torn" } else { "clean" }
@@ -700,6 +719,10 @@ fn kill_restart_leg(serve_exe: &Path) -> LegReport {
             JsonValue::uint(traces.len() as u64),
         ),
         ("identical".into(), JsonValue::uint(identical as u64)),
+        (
+            "lint_identical".into(),
+            JsonValue::uint(lint_identical as u64),
+        ),
         ("mid_kill_submissions".into(), JsonValue::uint(wave2)),
         (
             "final_log_records".into(),

@@ -115,9 +115,6 @@ pub struct ObsCounters {
     pub transfers: u64,
     /// Total wall/virtual time spent in transfers.
     pub transfer_time: Time,
-    /// Total bytes moved by transfers (tile size is an engine concern;
-    /// engines that do not track bytes leave this zero).
-    pub transfer_bytes: u64,
     /// Failed task attempts (injected or watchdog-converted), resilient
     /// runs only.
     pub failures: u64,

@@ -8,7 +8,9 @@
 //! POST /jobs                    submit a JobSpec; answers the JobOutcome
 //! GET  /jobs/<id>               re-fetch a stored result
 //! GET  /jobs/<id>/trace         the run's Chrome about:tracing document
-//! GET  /jobs/<id>/lint          lint the stored trace on demand
+//! GET  /jobs/<id>/lint          re-run the stored spec as a lint job;
+//!                               the same report resident, evicted or
+//!                               recovered
 //! GET  /health                  liveness probe
 //! GET  /stats                   counters: cache hits, sheds, evictions
 //! POST /admin/shards/<i>/kill   chaos: stop one shard's worker

@@ -233,10 +233,7 @@ impl ServerState {
                 return;
             }
         }
-        let appended = self
-            .log
-            .as_ref()
-            .and_then(|log| log.append(&job.wal_record()).ok());
+        let appended = self.log.as_ref().and_then(|log| log.append(&job).ok());
         let pinned = self.store.insert_locked(job.clone(), appended.as_ref());
         self.results.insert(spec_hash, job);
         drop(pinned);

@@ -1,16 +1,18 @@
 //! Per-job result storage with bounded residency and log rehydration.
 //!
-//! Every completed job is kept (spec + summary + rendered trace) so
-//! clients can come back for the heavyweight artifacts — the Chrome
-//! trace (`GET /jobs/<id>/trace`) and an after-the-fact lint
-//! (`GET /jobs/<id>/lint`) — without re-running anything.
+//! Every completed job is kept as its log record: [`StoredJob`] is an
+//! alias of [`WalRecord`] (id, spec, summary, rendered trace), so a
+//! stored job and its durable form are one value. Clients come back for
+//! the Chrome trace (`GET /jobs/<id>/trace`), served verbatim from the
+//! record, and for an after-the-fact lint (`GET /jobs/<id>/lint`), which
+//! [`StoredJob::lint`] re-derives by re-running the spec as a lint job.
 //!
 //! A store built with [`JobStore::with_caps`] and an attached
 //! [`JobLog`] bounds resident memory: jobs past the caps are evicted
 //! least-recently-used down to their log offset, and a later `GET`
-//! transparently reloads the record from disk ([`StoredJob::rehydrated`])
-//! — the trace comes back bitwise-identical because the *rendered*
-//! document is what the log stores. Jobs that were never persisted (no
+//! transparently reloads the record from disk. The reloaded job is the
+//! record itself, so the trace comes back bitwise-identical and the
+//! lint re-derives the same report. Jobs that were never persisted (no
 //! log attached, or the log went unhealthy mid-commit) are pinned
 //! resident: eviction only ever trades RAM for a disk read, never for
 //! an answer.
@@ -35,7 +37,7 @@
 
 use crate::cache::Recency;
 use crate::wal::{Appended, JobLog, ScannedRecord, WalRecord};
-use hetchol::job::{JobError, JobOutcome, JobSpec};
+use hetchol::job::{JobAction, JobError, JobOutcome, JobSpec};
 use hetchol_analyze::Report;
 use hetchol_sim::SimResult;
 use parking_lot::{explore, Mutex, MutexGuard};
@@ -46,80 +48,68 @@ use std::sync::{Arc, OnceLock};
 /// The label the store's lock and touchpoints carry in analysis reports.
 pub const STORE_LOCK_LABEL: &str = "serve.store.jobs";
 
-/// A finished job: the spec that produced it, the wire summary, the
-/// rendered trace, and the full simulation result when one was run.
-pub struct StoredJob {
-    /// Server-assigned id (the `/jobs/<id>` path segment).
-    pub id: u64,
-    /// The spec, kept verbatim for replay and lint-on-demand.
-    pub spec: JobSpec,
-    /// The serializable result summary.
-    pub outcome: JobOutcome,
-    /// The full engine result (simulate/lint actions only); `None` on
-    /// jobs rehydrated from the log, whose trace is already rendered.
-    pub sim: Option<SimResult>,
-    trace_text: Option<String>,
-}
+/// A finished job is its log record: the id, the spec, the wire summary
+/// and the Chrome trace the live server rendered. A fresh job, one
+/// reloaded after eviction and one recovered after a restart are the
+/// same value, so every answer derived from a stored job — the summary,
+/// the trace, the lint — is the same in all three states.
+pub type StoredJob = WalRecord;
 
 impl StoredJob {
     /// A job finished by a live worker. The Chrome trace is rendered
     /// here, once, so serving it later is a clone and persisting it now
-    /// writes the exact bytes a restarted server will re-serve.
+    /// writes the exact bytes a restarted server will re-serve. The
+    /// `SimResult` itself is not kept: the spec reproduces it bit for bit.
     pub fn fresh(id: u64, spec: JobSpec, outcome: JobOutcome, sim: Option<SimResult>) -> StoredJob {
-        let trace_text = if spec.obs {
-            sim.as_ref().map(|r| r.obs.to_chrome_trace())
-        } else {
-            None
-        };
+        let trace = sim.filter(|_| spec.obs).map(|r| {
+            let mut text = r.obs.to_chrome_trace();
+            // The renderer grows by doubling; keep the length, not the
+            // growth buffer, so `approx_bytes` counts what is held.
+            text.shrink_to_fit();
+            text
+        });
         StoredJob {
             id,
             spec,
             outcome,
-            sim,
-            trace_text,
-        }
-    }
-
-    /// A job reloaded from its log record: the trace is served verbatim
-    /// from the record, and there is no `SimResult` to lint.
-    pub fn rehydrated(record: WalRecord) -> StoredJob {
-        StoredJob {
-            id: record.id,
-            spec: record.spec,
-            outcome: record.outcome,
-            sim: None,
-            trace_text: record.trace,
+            trace,
         }
     }
 
     /// The Chrome `about:tracing` document. `None` when the job ran
     /// without `obs` or never simulated.
     pub fn chrome_trace(&self) -> Option<String> {
-        self.trace_text.clone()
+        self.trace.clone()
     }
 
-    /// Lint the stored trace on demand with the exact configuration the
-    /// `lint` action would have used. `None` when the job never simulated
-    /// — including jobs rehydrated from the log, which keep their trace
-    /// but not the in-memory simulation state a lint needs.
+    /// Lint the job's run on demand: re-run the stored spec as a `lint`
+    /// job, which applies the linter configuration the spec implies, and
+    /// return its report. A spec determines its run bit for bit, so the
+    /// report does not depend on whether the job is resident, was
+    /// evicted, or was recovered from the log. `None` for jobs that never
+    /// simulated (the `bounds` and `certify` actions).
     pub fn lint(&self) -> Option<Result<Report, JobError>> {
-        self.sim.as_ref().map(|r| self.spec.lint_sim(r))
+        if !matches!(self.spec.action, JobAction::Simulate | JobAction::Lint) {
+            return None;
+        }
+        self.spec
+            .clone()
+            .action(JobAction::Lint)
+            .run()
+            .map(|run| run.lint)
+            .transpose()
     }
 
-    /// The job's durable form for the log.
+    /// The job's log record, owned. A stored job is its record, so this
+    /// is a clone; it stays for callers that need an owned record.
     pub fn wal_record(&self) -> WalRecord {
-        WalRecord {
-            id: self.id,
-            spec: self.spec.clone(),
-            outcome: self.outcome.clone(),
-            trace: self.trace_text.clone(),
-        }
+        self.clone()
     }
 
     /// Approximate resident bytes, for cache byte caps. The rendered
     /// trace dominates; the constant covers the spec and outcome.
     pub fn approx_bytes(&self) -> usize {
-        256 + self.trace_text.as_ref().map_or(0, String::len)
+        256 + self.trace.as_ref().map_or(0, String::len)
     }
 }
 
@@ -438,7 +428,7 @@ impl JobStore {
             return None; // A log rewritten underneath us; refuse to lie.
         }
         explore::touch(STORE_LOCK_LABEL, true);
-        let job = Arc::new(StoredJob::rehydrated(record));
+        let job = Arc::new(record);
         jobs.admit(job.clone(), Some(at.frame_bytes));
         jobs.reloads += 1;
         jobs.evict_over(self.max_resident, self.max_resident_bytes);
@@ -500,7 +490,6 @@ mod tests {
         // the now-colder second job in its place.
         let back = store.get(1).expect("evicted job reloads");
         assert_eq!(back.chrome_trace().as_deref(), Some(first_trace.as_str()));
-        assert!(back.sim.is_none(), "rehydrated jobs carry no SimResult");
         let snap = store.lock_jobs().snapshot();
         assert_eq!((snap.resident, snap.evicted, snap.reloads), (1, 2, 1));
     }

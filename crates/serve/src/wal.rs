@@ -52,7 +52,8 @@ fn checksum(payload: &[u8]) -> u64 {
 }
 
 /// One durable job record: the spec and outcome in their wire forms plus
-/// the rendered Chrome trace (when the job ran with `obs`).
+/// the rendered Chrome trace (when the job ran with `obs`). The store
+/// keeps finished jobs in this same form ([`crate::store::StoredJob`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct WalRecord {
     /// Server-assigned job id.

@@ -276,7 +276,7 @@ impl StoreCase {
     fn commit(&mut self, id: u64, persist: bool) {
         let record = self.record(id);
         let trace = record.trace.clone().expect("every record has a trace");
-        let job = Arc::new(StoredJob::rehydrated(record.clone()));
+        let job: Arc<StoredJob> = Arc::new(record.clone());
         if persist {
             let a = self.log.append(&record).expect("in-memory append");
             drop(self.store.insert_locked(job, Some(&a)));

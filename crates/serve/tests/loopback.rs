@@ -514,3 +514,167 @@ fn eviction_under_memory_pressure_reloads_from_the_log() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The jobs whose answers must survive their whole life: Cholesky
+/// simulate and lint jobs with and without obs, a jittered one, one with
+/// a seeded fault plan, and a bounds job that never simulated.
+fn lifetime_specs() -> Vec<(&'static str, JobSpec)> {
+    let job = |n: usize, action: JobAction, obs: bool, seed: u64| {
+        let mut spec = JobSpec::new("cholesky", n).unwrap().action(action);
+        spec.obs = obs;
+        spec.seed = seed;
+        spec
+    };
+    let mut jittered = job(5, JobAction::Simulate, true, 5);
+    jittered.jitter = true;
+    let mut faulted = job(6, JobAction::Lint, true, 6);
+    faulted.faults = FaultPlan::seeded(
+        6,
+        faulted.workload.graph(6).len(),
+        Platform::mirage().n_workers(),
+    );
+    vec![
+        ("simulate", job(4, JobAction::Simulate, false, 1)),
+        ("simulate obs", job(4, JobAction::Simulate, true, 2)),
+        ("lint", job(5, JobAction::Lint, false, 3)),
+        ("lint obs", job(5, JobAction::Lint, true, 4)),
+        ("jittered simulate obs", jittered),
+        ("faulted lint obs", faulted),
+        ("bounds", job(4, JobAction::Bounds, false, 7)),
+    ]
+}
+
+/// Per job of [`lifetime_specs`], FNV-1a digests of its resident
+/// `/jobs/<id>`, `/jobs/<id>/trace` and `/jobs/<id>/lint` bodies,
+/// recorded while the store still kept each run's `SimResult` beside its
+/// log record: the resident answers must not move.
+const LIFETIME_GOLDENS: [&str; 7] = [
+    "simulate: f68dff91c992b88a c8be455fb131f1f3 a9ff1169a951840e",
+    "simulate obs: 66006ebe72d93deb f6b1f17315809d3e e3ed0e1c4bd69f4b",
+    "lint: b2218ea90a8cb388 57c9f7242f6a29a9 2639044dc7910662",
+    "lint obs: dde0a97c80a1c556 499fceef7bda2ce3 a6696a52dd3a81c1",
+    "jittered simulate obs: 7c94987f3f9fd038 c52bd0fcd87ecffc 53f854468bd1e779",
+    "faulted lint obs: a53cc2206ba9786b b5d280a6e0fb243a 123b960a7e76b034",
+    "bounds: 0f20560498308614 c83ff660e4a019ad e87bc33823892bb0",
+];
+
+const SUBRESOURCES: [&str; 3] = ["", "/trace", "/lint"];
+
+fn fnv(body: &str) -> String {
+    let mut h = hetchol_core::hash::ContentHasher::new();
+    h.write_bytes(body.as_bytes());
+    hetchol_core::hash::hash_hex(h.finish())
+}
+
+/// Every subresource of every job, read subresource by subresource so
+/// that no two consecutive reads name the same job: under a 1-job
+/// residency cap each read finds its job evicted.
+fn read_round_robin(addr: std::net::SocketAddr, ids: &[u64]) -> Vec<Vec<(u16, String)>> {
+    let mut bodies = vec![Vec::new(); ids.len()];
+    for sub in SUBRESOURCES {
+        for (k, id) in ids.iter().enumerate() {
+            bodies[k].push(client::get(addr, &format!("/jobs/{id}{sub}")).unwrap());
+        }
+    }
+    bodies
+}
+
+fn reloads(addr: std::net::SocketAddr) -> u64 {
+    let (_, stats) = client::get(addr, "/stats").unwrap();
+    let v = parse_json(&stats).unwrap();
+    v.field("store")
+        .unwrap()
+        .field("reloads")
+        .unwrap()
+        .as_u64()
+        .unwrap()
+}
+
+#[test]
+fn job_answers_are_identical_resident_evicted_and_recovered() {
+    let dir = scratch("lifetime");
+    let config = ServeConfig {
+        shards: 1,
+        log_path: Some(dir.join("jobs.jlog")),
+        max_resident_jobs: 1,
+        ..ServeConfig::default()
+    };
+    let specs = lifetime_specs();
+
+    // Resident: each job is read right after its commit, while it is the
+    // one job the cap lets stay.
+    let server = start(config.clone());
+    let addr = server.addr();
+    let mut ids = Vec::new();
+    let mut resident = Vec::new();
+    for (label, spec) in &specs {
+        let (status, body) = client::post_job(addr, &spec.to_json()).unwrap();
+        assert_eq!(status, 200, "{label}: {body}");
+        let id = parse_json(&body)
+            .unwrap()
+            .field("job_id")
+            .unwrap()
+            .as_u64()
+            .unwrap();
+        ids.push(id);
+        resident.push(
+            SUBRESOURCES
+                .map(|sub| client::get(addr, &format!("/jobs/{id}{sub}")).unwrap())
+                .to_vec(),
+        );
+    }
+    assert_eq!(reloads(addr), 0, "resident reads reload nothing");
+    let digests: Vec<String> = specs
+        .iter()
+        .zip(&resident)
+        .map(|((label, _), reads)| {
+            let d: Vec<String> = reads.iter().map(|(_, body)| fnv(body)).collect();
+            format!("{label}: {}", d.join(" "))
+        })
+        .collect();
+    assert_eq!(digests, LIFETIME_GOLDENS);
+    for ((label, spec), reads) in specs.iter().zip(&resident) {
+        let (status, lint) = &reads[2];
+        if spec.action == JobAction::Bounds {
+            assert_eq!(*status, 400, "{label}: {lint}");
+            assert!(lint.contains(r#""code":"no-trace""#), "{label}: {lint}");
+        } else {
+            assert_eq!(*status, 200, "{label}: {lint}");
+            assert!(lint.contains(r#""status":"ok""#), "{label}: {lint}");
+        }
+    }
+
+    let same_as_resident = |state: &str, got: &[Vec<(u16, String)>]| {
+        for (((label, _), want), got) in specs.iter().zip(&resident).zip(got) {
+            for ((sub, (ws, wb)), (gs, gb)) in SUBRESOURCES.iter().zip(want).zip(got) {
+                assert!(
+                    (ws, wb) == (gs, gb),
+                    "{label} /jobs/<id>{sub} {state}: status {gs} ({} bytes) vs resident {ws} ({} bytes): {gb:.200}",
+                    gb.len(),
+                    wb.len()
+                );
+            }
+        }
+    };
+
+    // Evicted: one more commit evicts the last job, so every read below
+    // reloads its job from the log.
+    let (status, body) =
+        client::post_job(addr, r#"{"workload":"cholesky","n":3,"action":"bounds"}"#).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let evicted = read_round_robin(addr, &ids);
+    assert_eq!(
+        reloads(addr),
+        (SUBRESOURCES.len() * ids.len()) as u64,
+        "every read found its job evicted"
+    );
+    same_as_resident("after eviction", &evicted);
+    server.shutdown();
+
+    // Recovered: a restart on the same log.
+    let server = start(config);
+    let recovered = read_round_robin(server.addr(), &ids);
+    same_as_resident("after restart", &recovered);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

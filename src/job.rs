@@ -507,8 +507,6 @@ impl JobSpec {
                 platform.n_classes()
             )));
         }
-        let spec_hash = self.content_hash();
-
         let mut bounds = None;
         let mut certified = None;
         if matches!(
@@ -571,7 +569,7 @@ impl JobSpec {
         }
 
         let outcome = JobOutcome {
-            spec_hash,
+            spec_hash: self.content_hash(),
             workload: self.workload,
             n: self.n,
             scheduler: self.scheduler.clone(),
@@ -592,41 +590,11 @@ impl JobSpec {
             }),
         };
         Ok(JobRun {
-            spec_hash,
             sim,
             bounds,
-            certified,
             lint,
             outcome,
         })
-    }
-}
-
-impl JobSpec {
-    /// Lint a stored result of this spec on demand (the serving layer's
-    /// `GET /jobs/<id>/lint`): the exact linter configuration
-    /// [`JobAction::Lint`] would have used, applied after the fact to a
-    /// result produced under any action.
-    pub fn lint_sim(&self, result: &SimResult) -> Result<Report, JobError> {
-        let scheduler = registry::build(&self.scheduler, self.seed)?;
-        let platform = self.platform.build();
-        let profile = self.profile.build();
-        let graph = self.workload.graph(self.n);
-        let bounds = Some(BoundSet::compute_algo(
-            self.workload,
-            self.n,
-            &platform,
-            &profile,
-        ));
-        Ok(lint_result(
-            &graph,
-            &platform,
-            &profile,
-            &*scheduler,
-            self,
-            &bounds,
-            result,
-        ))
     }
 }
 
@@ -1029,19 +997,16 @@ fn cause_from_json(v: &JsonValue) -> Result<FailureCause, String> {
 }
 
 /// Everything [`JobSpec::run`] produced: the full engine results (trace,
-/// obs, bound set, lint report) for callers that keep the job around —
-/// the serve layer's per-job store — plus the serializable
+/// obs, bound set, lint report) for callers that inspect the run — the
+/// serve layer renders the trace from `sim` and answers
+/// `GET /jobs/<id>/lint` from `lint` — plus the serializable
 /// [`JobOutcome`] summary.
 #[derive(Debug)]
 pub struct JobRun {
-    /// [`JobSpec::content_hash`] of the producing spec.
-    pub spec_hash: u64,
     /// The full simulation result (simulate/lint actions).
     pub sim: Option<SimResult>,
     /// The full bound set (bounds/certify/lint actions).
     pub bounds: Option<BoundSet>,
-    /// Whether exact certification succeeded (certify action).
-    pub certified: Option<bool>,
     /// The full lint report (lint action).
     pub lint: Option<Report>,
     /// The serializable summary.
