@@ -1,12 +1,14 @@
-//! A loom-lite interleaving explorer for the threaded runtime.
+//! The exploration session: cooperative control of the real threads that
+//! [`crate::mc`]'s source-DPOR loop explores.
 //!
 //! The real runtime (`hetchol_rt::execute_workload`) synchronizes its worker
 //! threads with one mutex-protected state block and one condvar. Bugs in
 //! that protocol — a missed `notify_all` after dispatching successors, a
 //! double release in the dependency tracker — are interleaving-dependent:
-//! a stress test can pass a million times and still miss them. This module
-//! explores the interleavings *systematically*, in the spirit of `loom`
-//! but over the real `std` threads the runtime actually spawns:
+//! a stress test can pass a million times and still miss them. The
+//! session lets the interleavings be explored *systematically*, in the
+//! spirit of `loom` but over the real `std` threads the runtime actually
+//! spawns:
 //!
 //! * the `parking_lot` compat shim reports every lock acquire/release,
 //!   condvar wait and notify of checked-in worker threads to an installed
@@ -16,10 +18,12 @@
 //!   operation (checkin, lock acquire, condvar wait) to the next;
 //! * whenever every live thread is parked, the last parker picks which
 //!   thread runs next — replaying a prescribed prefix of choices, then
-//!   following a deterministic first-choice rule;
-//! * the driver ([`explore()`]) runs the scenario repeatedly, depth-first
-//!   over the tree of choices, pruning provably-equivalent branches with
-//!   sleep sets (two steps with disjoint sync-object footprints commute);
+//!   following a deterministic first-choice rule that skips sleeping
+//!   threads;
+//! * each run's trail (enabled set, choice, sync footprint and sleep set
+//!   of every decision) goes back to the search loop, which picks the
+//!   next prefix: the DPOR loop behind [`crate::mc::check_model`] and
+//!   [`crate::mc::check_recovery`];
 //! * a state where no parked thread can make progress is a **deadlock** —
 //!   which is precisely what a lost wakeup becomes once controlled waits
 //!   never sleep on the real condvar.
@@ -29,15 +33,13 @@
 //! the only source of nondeterminism, and the run is capped by
 //! [`ExploreConfig`]. See DESIGN.md §4 for the model's guarantees.
 
-use hetchol_core::dag::TaskGraph;
 use hetchol_core::platform::WorkerId;
-use hetchol_core::profiles::TimingProfile;
 use hetchol_core::scheduler::{ExecutionView, SchedContext, Scheduler};
 use hetchol_core::task::TaskId;
 use parking_lot::explore::{self, ExploreHook, SyncEvent};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::panic::{self, AssertUnwindSafe};
+use std::panic;
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
 
 /// Panic payload used to tear a run down after a verdict (deadlock found,
@@ -54,7 +56,7 @@ pub(crate) fn lock_of<'a, T>(m: &'a StdMutex<T>) -> std::sync::MutexGuard<'a, T>
 }
 
 // ---------------------------------------------------------------------------
-// Configuration and report
+// Configuration
 // ---------------------------------------------------------------------------
 
 /// Bounds on one exploration.
@@ -64,8 +66,10 @@ pub struct ExploreConfig {
     pub max_schedules: usize,
     /// Maximum decisions within a single run (runaway-scenario guard).
     pub max_steps: usize,
-    /// Prune equivalent branches with sleep sets. Turning this off
-    /// explores the raw tree — useful to cross-check the pruning.
+    /// Layer sleep sets over DPOR's backtrack sets: a candidate whose step
+    /// commutes with every step run since it was put to sleep is skipped. Turning this off leaves the backtrack sets alone in
+    /// charge — the same verdict on a tree never smaller, which is how
+    /// the tests cross-check the pruning.
     pub sleep_sets: bool,
 }
 
@@ -76,37 +80,6 @@ impl Default for ExploreConfig {
             max_steps: 10_000,
             sleep_sets: true,
         }
-    }
-}
-
-/// One deadlocked interleaving found by the explorer.
-#[derive(Clone, Debug)]
-pub struct Deadlock {
-    /// Index of the run (0-based) that deadlocked.
-    pub schedule: usize,
-    /// Workers left parked with no enabled step, with a description of
-    /// what each was blocked on.
-    pub parked: Vec<(usize, String)>,
-}
-
-/// Outcome of one [`explore()`] call.
-#[derive(Clone, Debug, Default)]
-pub struct ExploreReport {
-    /// Number of runs executed.
-    pub schedules_run: usize,
-    /// `true` when the whole (pruned) interleaving tree was covered.
-    pub complete: bool,
-    /// Deadlocks found (exploration stops at the first).
-    pub deadlocks: Vec<Deadlock>,
-    /// Panic messages from runs that failed for any other reason
-    /// (assertion failures, double release, replay divergence…).
-    pub failures: Vec<String>,
-}
-
-impl ExploreReport {
-    /// `true` when no deadlock and no failure was found.
-    pub fn is_clean(&self) -> bool {
-        self.deadlocks.is_empty() && self.failures.is_empty()
     }
 }
 
@@ -394,10 +367,9 @@ impl Inner {
 
 /// The installed hook: cooperative scheduling over real threads.
 ///
-/// Shared between the sleep-set DFS driver ([`explore()`]) and the DPOR
-/// driver in [`crate::mc`] — the session only enforces the cooperative
-/// model and records the trail; which branches get explored is entirely
-/// the driver's business.
+/// The session only enforces the cooperative model and records the
+/// trail; which branches get explored is entirely the business of the
+/// DPOR loop in [`crate::mc`].
 pub(crate) struct Session {
     inner: StdMutex<Inner>,
     gates: Vec<Gate>,
@@ -745,128 +717,12 @@ impl Drop for SessionGuard {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The DFS driver
-// ---------------------------------------------------------------------------
-
-/// One node on the current DFS path.
-struct Frame {
-    enabled: Vec<usize>,
-    /// Choices already explored from this state, with the footprint each
-    /// step had when executed.
-    explored: Vec<(usize, Vec<Op>)>,
-    /// Sleep set in effect when this state was first reached.
-    sleep: Vec<(usize, Vec<Op>)>,
-}
-
 /// Serializes explorations: the hook registry and the panic hook are
 /// process-global.
 pub(crate) static SESSION_LOCK: StdMutex<()> = StdMutex::new(());
 
-/// Explore the interleavings of `run_once`, a scenario that spawns exactly
-/// `n_workers` threads which check in via `parking_lot::explore::checkin`
-/// (as `hetchol_rt::execute_workload` does) and asserts its own postconditions.
-///
-/// Runs the scenario repeatedly under depth-first control of every
-/// lock/wait/notify decision point until the (sleep-set-pruned) tree is
-/// exhausted or a bound of `cfg` is hit. Stops at the first deadlock or
-/// failure. The scenario must be deterministic apart from thread timing.
-pub fn explore(n_workers: usize, cfg: ExploreConfig, mut run_once: impl FnMut()) -> ExploreReport {
-    assert!(n_workers > 0, "need at least one controlled thread");
-    let _serial = lock_of(&SESSION_LOCK);
-    let session = Arc::new(Session::new(n_workers, &cfg));
-    let guard = SessionGuard::install(session.clone());
-
-    let mut report = ExploreReport::default();
-    let mut frames: Vec<Frame> = Vec::new();
-    let mut prefix: Vec<usize> = Vec::new();
-    let mut seed: Vec<(usize, Vec<Op>)> = Vec::new();
-
-    loop {
-        session.reset(prefix.clone(), seed.clone());
-        guard.clear();
-        let outcome = panic::catch_unwind(AssertUnwindSafe(&mut run_once));
-        session.drain();
-        let run_index = report.schedules_run;
-        report.schedules_run += 1;
-        let (trail, deadlocked, capped, failure) = session.take_outcome();
-        let panic_msg = guard.take_panic();
-
-        if outcome.is_err() || failure.is_some() {
-            if let Some(msg) = failure.or(panic_msg) {
-                report.failures.push(msg);
-            } else if let Some(parked) = deadlocked {
-                report.deadlocks.push(Deadlock {
-                    schedule: run_index,
-                    parked,
-                });
-            } else if capped {
-                // Bounded out, not a verdict; the tree was not covered.
-            } else {
-                report
-                    .failures
-                    .push("run panicked without a message".to_string());
-            }
-            break; // stop at the first finding (or cap)
-        }
-
-        // Fold the clean run's trail into the DFS frames.
-        for (depth, t) in trail.iter().enumerate() {
-            if depth < frames.len() {
-                if !frames[depth].explored.iter().any(|(w, _)| *w == t.chosen) {
-                    frames[depth].explored.push((t.chosen, t.footprint.clone()));
-                }
-            } else {
-                frames.push(Frame {
-                    enabled: t.enabled.clone(),
-                    explored: vec![(t.chosen, t.footprint.clone())],
-                    sleep: t.sleep.clone(),
-                });
-            }
-        }
-        let last_choices: Vec<usize> = trail.iter().map(|t| t.chosen).collect();
-
-        // Backtrack to the deepest state with an untried, awake candidate.
-        let next = (0..frames.len()).rev().find_map(|d| {
-            let f = &frames[d];
-            f.enabled
-                .iter()
-                .copied()
-                .find(|w| {
-                    let tried = f.explored.iter().any(|(e, _)| e == w);
-                    let asleep = cfg.sleep_sets && f.sleep.iter().any(|(s, _)| s == w);
-                    !tried && !asleep
-                })
-                .map(|u| (d, u))
-        });
-        let Some((d, u)) = next else {
-            report.complete = true;
-            break;
-        };
-        if report.schedules_run >= cfg.max_schedules {
-            break; // tree not exhausted: complete stays false
-        }
-        prefix = last_choices[..d].to_vec();
-        prefix.push(u);
-        seed = if cfg.sleep_sets {
-            frames[d]
-                .sleep
-                .iter()
-                .chain(frames[d].explored.iter())
-                .cloned()
-                .collect()
-        } else {
-            Vec::new()
-        };
-        frames.truncate(d + 1);
-    }
-
-    drop(guard); // restore the caller's panic hook, uninstall the session
-    report
-}
-
 // ---------------------------------------------------------------------------
-// Runtime convenience
+// The timing-blind scheduler
 // ---------------------------------------------------------------------------
 
 /// A timing-blind scheduler for model checking: worker = task index modulo
@@ -887,35 +743,11 @@ impl Scheduler for RoundRobin {
     }
 }
 
-/// Model-check `hetchol_rt::execute_workload` on `graph` with `n_workers`
-/// threads: explore the worker-loop interleavings with a no-op task body
-/// and the [`RoundRobin`] scheduler, asserting every run executes the
-/// whole DAG.
-pub fn explore_runtime(graph: &TaskGraph, n_workers: usize, cfg: ExploreConfig) -> ExploreReport {
-    let profile = TimingProfile::mirage_homogeneous();
-    explore(n_workers, cfg, || {
-        let mut sched = RoundRobin;
-        let workload = hetchol_rt::FnWorkload(|_| Ok::<(), std::convert::Infallible>(()));
-        let r = hetchol_rt::execute_workload(
-            &workload,
-            graph,
-            &mut sched,
-            &profile,
-            n_workers,
-            hetchol_core::obs::ObsSink::disabled(),
-        )
-        .expect("no-op tasks cannot fail");
-        assert_eq!(
-            r.trace.events.len(),
-            graph.len(),
-            "run completed without executing every task"
-        );
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetchol_core::dag::TaskGraph;
+    use hetchol_core::profiles::TimingProfile;
 
     #[test]
     fn round_robin_is_timing_blind() {

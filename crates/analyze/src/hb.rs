@@ -1,13 +1,14 @@
 //! Passive happens-before race detection and lock-order (lockdep)
 //! analysis over the compat `parking_lot` shim's event stream.
 //!
-//! Where the explorer ([`crate::race`]) and model checker ([`crate::mc`])
-//! *control* checked-in threads and enumerate interleavings, this module
-//! only *listens*: [`record`] installs a passive [`ExploreHook`] that
-//! every thread in the process reports to, runs the workload once at real
-//! speed, and evaluates two analyses over the serialized event stream
-//! (whose order the shim guarantees is consistent with the real lock
-//! order — see the shim's passive-mode contract):
+//! Where the model checker ([`crate::mc`], over the session of
+//! [`crate::explore`]) *controls* checked-in threads and enumerates
+//! interleavings, this module only *listens*: [`record`] installs a
+//! passive [`ExploreHook`] that every thread in the process reports to,
+//! runs the workload once at real speed, and evaluates two analyses over
+//! the serialized event stream (whose order the shim guarantees is
+//! consistent with the real lock order — see the shim's passive-mode
+//! contract):
 //!
 //! * **Happens-before races** — FastTrack-style vector clocks, one per
 //!   thread, joined on release→acquire, notify→wake and send→recv edges.
@@ -36,7 +37,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex as StdMutex};
 use std::thread::ThreadId;
 
-use crate::race::{lock_of, SESSION_LOCK};
+use crate::explore::{lock_of, SESSION_LOCK};
 
 /// How a [`touch`] accesses its object.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

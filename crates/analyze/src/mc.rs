@@ -1,16 +1,19 @@
 //! Model checking for the resilient runtime: source-DPOR exploration,
 //! fault nondeterminism, an invariant engine and replayable witnesses.
 //!
-//! The sleep-set explorer in [`crate::race`] prunes branches whose first
-//! divergent steps have *disjoint* sync-object footprints. This module
-//! layers the stronger classic dynamic-partial-order-reduction argument on
-//! top (Flanagan & Godefroid): after every complete run it computes the
+//! Every interleaving search in the workspace runs through this module's
+//! one loop, over the cooperative session of [`crate::explore`]. It
+//! prunes with the classic dynamic-partial-order-reduction argument
+//! (Flanagan & Godefroid): after every complete run it computes the
 //! happens-before relation of the trail with per-thread **vector clocks**
 //! over the acquire/release/wait/notify events the `parking_lot` compat
 //! shim reports, finds the pairs of dependent steps that are *not*
 //! ordered, and only schedules the alternatives those races justify
-//! (everything else provably commutes). Combined with the inherited sleep
-//! sets, the DPOR tree is never larger than the sleep-set tree.
+//! (everything else provably commutes). Sleep sets
+//! ([`ExploreConfig::sleep_sets`]) prune on top: a candidate whose step is
+//! independent of everything run since it was last explored is skipped.
+//! [`check_model`] drives any closed system of checked-in threads;
+//! [`check_recovery`] drives the resilient runtime under a fault space.
 //!
 //! On top of thread nondeterminism the recovery checker
 //! ([`check_recovery`]) adds **fault nondeterminism**: the driver runs the
@@ -31,19 +34,17 @@
 //!
 //! See DESIGN.md §14 for the model and its guarantees.
 
-use crate::race::{
-    lock_of, Deadlock as DeadlockReport, ExploreConfig, ExploreReport, Op, OpKind, RoundRobin,
-    Session, SessionGuard, TrailEntry, SESSION_LOCK,
+use crate::explore::{
+    lock_of, ExploreConfig, Op, OpKind, RoundRobin, Session, SessionGuard, TrailEntry, SESSION_LOCK,
 };
 use hetchol_core::dag::TaskGraph;
 use hetchol_core::fault::{
-    ConfigError, FailureCause, Fault, FaultEventKind, FaultKind, FaultPlan, RetryPolicy, RunOutcome,
+    ConfigError, FailureCause, FaultEventKind, FaultPlan, RetryPolicy, RunOutcome,
 };
 use hetchol_core::json::{parse_json, JsonValue};
 use hetchol_core::obs::ObsSink;
 use hetchol_core::platform::WorkerId;
 use hetchol_core::profiles::TimingProfile;
-use hetchol_core::task::TaskId;
 use hetchol_core::time::Time;
 use hetchol_core::trace::Trace;
 use hetchol_rt::RtResult;
@@ -168,7 +169,6 @@ enum DriveEnd {
     Budget,
     /// A run deadlocked (model-level: no enabled parked thread).
     Deadlock {
-        schedule: usize,
         parked: Vec<(usize, String)>,
         choices: Vec<usize>,
     },
@@ -209,7 +209,6 @@ fn drive(
         guard.clear();
         let outcome = panic::catch_unwind(AssertUnwindSafe(&mut *run_once));
         session.drain();
-        let run_index = schedules_run;
         schedules_run += 1;
         let (trail, deadlocked, capped, failure) = session.take_outcome();
         let panic_msg = guard.take_panic();
@@ -220,11 +219,7 @@ fn drive(
                 break DriveEnd::Failure(msg);
             }
             if let Some(parked) = deadlocked {
-                break DriveEnd::Deadlock {
-                    schedule: run_index,
-                    parked,
-                    choices,
-                };
+                break DriveEnd::Deadlock { parked, choices };
             }
             if capped {
                 break DriveEnd::Capped { choices };
@@ -254,8 +249,7 @@ fn drive(
         }
 
         // Backtrack to the deepest state with a race-justified, untried,
-        // awake candidate. (The sleep-set DFS differs in exactly one way:
-        // it considers every enabled candidate, not just `backtrack`.)
+        // awake candidate.
         let next = (0..frames.len()).rev().find_map(|d| {
             let f = &frames[d];
             f.backtrack
@@ -376,79 +370,8 @@ fn minimize_prefix(
 }
 
 // ---------------------------------------------------------------------------
-// Generic DPOR entry points (thread nondeterminism only)
+// Generic entry points (thread nondeterminism only)
 // ---------------------------------------------------------------------------
-
-/// Explore the interleavings of `run_once` with source-DPOR + sleep sets.
-///
-/// Drop-in replacement for [`crate::race::explore`] with the same report
-/// type and the same verdicts, exploring a subset of its (already pruned)
-/// tree: only branches justified by an actual race — a pair of dependent,
-/// happens-before-unordered steps — are scheduled.
-pub fn explore_dpor(
-    n_workers: usize,
-    cfg: ExploreConfig,
-    mut run_once: impl FnMut(),
-) -> ExploreReport {
-    assert!(n_workers > 0, "need at least one controlled thread");
-    let _serial = lock_of(&SESSION_LOCK);
-    let session = Arc::new(Session::new(n_workers, &cfg));
-    let guard = SessionGuard::install(session.clone());
-    let mut no_check = || -> Option<Violation> { None };
-    let d = drive(
-        &session,
-        &guard,
-        n_workers,
-        &cfg,
-        &mut run_once,
-        &mut no_check,
-    );
-    drop(guard);
-    let mut report = ExploreReport {
-        schedules_run: d.schedules_run,
-        ..ExploreReport::default()
-    };
-    match d.end {
-        DriveEnd::Exhausted => report.complete = true,
-        DriveEnd::Budget | DriveEnd::Capped { .. } => {}
-        DriveEnd::Deadlock {
-            schedule, parked, ..
-        } => report.deadlocks.push(DeadlockReport { schedule, parked }),
-        DriveEnd::Failure(msg) => report.failures.push(msg),
-        DriveEnd::Finding { .. } => unreachable!("no invariant checker installed"),
-    }
-    report
-}
-
-/// DPOR counterpart of [`crate::race::explore_runtime`]: model-check the
-/// fault-free `hetchol_rt::execute_workload` on `graph`. Used by
-/// `repro mc --compare-pruning` to measure the reduction on an identical
-/// scenario.
-pub fn explore_runtime_dpor(
-    graph: &TaskGraph,
-    n_workers: usize,
-    cfg: ExploreConfig,
-) -> ExploreReport {
-    let profile = TimingProfile::mirage_homogeneous();
-    explore_dpor(n_workers, cfg, || {
-        let mut sched = RoundRobin;
-        let workload = hetchol_rt::FnWorkload(|_| Ok::<(), std::convert::Infallible>(()));
-        let r = hetchol_rt::execute_workload(
-            &workload,
-            graph,
-            &mut sched,
-            &profile,
-            n_workers,
-            ObsSink::disabled(),
-        )
-        .expect("no-op tasks cannot fail");
-        assert_eq!(
-            r.trace.events.len(),
-            graph.len(),
-            "run completed without executing every task"
-        );
-    })
-}
 
 /// Outcome of one [`check_model`] call: the generic counterpart of
 /// [`McReport`] for models that are not the resilient runtime.
@@ -522,9 +445,7 @@ pub fn check_model(
             drop(guard);
             return report;
         }
-        DriveEnd::Deadlock {
-            parked, choices, ..
-        } => {
+        DriveEnd::Deadlock { parked, choices } => {
             let detail = parked
                 .iter()
                 .map(|(w, what)| format!("worker {w}: {what}"))
@@ -937,8 +858,8 @@ impl Witness {
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str(&format!("  \"version\": {},\n", self.version));
-        // The model tag is omitted for "rt" so rt witnesses serialize
-        // byte-identically to the pre-serve-model format.
+        // The model tag is omitted for "rt", the parser's default, so rt
+        // witnesses keep the shape they had before the serve-pool model.
         let model_tag = if self.model == "rt" {
             String::new()
         } else {
@@ -953,32 +874,10 @@ impl Witness {
                 None => "null".to_string(),
             }
         ));
-        let faults: Vec<String> = self
-            .plan
-            .faults()
-            .iter()
-            .map(|f| match f {
-                Fault::WorkerDeath {
-                    worker,
-                    after_starts,
-                } => format!(
-                    "{{\"kind\": \"worker_death\", \"worker\": {worker}, \"after_starts\": {after_starts}}}"
-                ),
-                Fault::Transient {
-                    task,
-                    failures,
-                    kind,
-                } => format!(
-                    "{{\"kind\": \"transient\", \"task\": {}, \"failures\": {failures}, \"fault\": \"{}\"}}",
-                    task.index(),
-                    kind.label()
-                ),
-                Fault::Straggler { worker, factor } => {
-                    format!("{{\"kind\": \"straggler\", \"worker\": {worker}, \"factor\": {factor}}}")
-                }
-            })
-            .collect();
-        s.push_str(&format!("  \"fault\": [{}],\n", faults.join(", ")));
+        s.push_str(&format!(
+            "  \"fault\": {},\n",
+            self.plan.to_json_value().render()
+        ));
         let choices: Vec<String> = self.choices.iter().map(|c| c.to_string()).collect();
         s.push_str(&format!("  \"choices\": [{}],\n", choices.join(", ")));
         s.push_str(&format!(
@@ -1013,40 +912,7 @@ impl Witness {
             JsonValue::Str(s) => Some(s.clone()),
             other => return Err(format!("mutation must be a string or null, got {other:?}")),
         };
-        let mut plan = FaultPlan::new();
-        for f in v.field("fault")?.as_arr()? {
-            let kind = f.field("kind")?.as_str()?;
-            match kind {
-                "worker_death" => {
-                    plan = plan.kill_worker(
-                        f.field("worker")?.as_u64()? as WorkerId,
-                        f.field("after_starts")?.as_u64()? as u32,
-                    );
-                }
-                "transient" => {
-                    let task = TaskId(f.field("task")?.as_u64()? as u32);
-                    let failures = f.field("failures")?.as_u64()? as u32;
-                    match f.field("fault")?.as_str()? {
-                        l if l == FaultKind::Transient.label() => {
-                            plan = plan.transient(task, failures);
-                        }
-                        l if l == FaultKind::Numerical.label() && failures == 1 => {
-                            plan = plan.corrupt_tile(task);
-                        }
-                        other => {
-                            return Err(format!("unsupported transient fault kind {other:?}"));
-                        }
-                    }
-                }
-                "straggler" => {
-                    plan = plan.straggler(
-                        f.field("worker")?.as_u64()? as WorkerId,
-                        f.field("factor")?.as_f64()?,
-                    );
-                }
-                other => return Err(format!("unknown fault kind {other:?}")),
-            }
-        }
+        let plan = FaultPlan::from_json_value(v.field("fault")?)?;
         let choices = v
             .field("choices")?
             .as_arr()?
@@ -1218,9 +1084,7 @@ pub fn check_recovery(
                     .push(format!("[{}] {msg}", plan_label(plan)));
                 break;
             }
-            DriveEnd::Deadlock {
-                parked, choices, ..
-            } => {
+            DriveEnd::Deadlock { parked, choices } => {
                 let detail = parked
                     .iter()
                     .map(|(w, what)| format!("worker {w}: {what}"))
@@ -1373,6 +1237,7 @@ pub fn replay_witness(
 mod tests {
     use super::*;
     use hetchol_core::kernel::Kernel;
+    use hetchol_core::task::TaskId;
     use hetchol_core::trace::{QueueEvent, TraceEvent};
 
     #[test]
@@ -1516,7 +1381,8 @@ mod tests {
             plan: FaultPlan::new()
                 .kill_worker(1, 3)
                 .transient(TaskId(2), 1)
-                .straggler(0, 2.5),
+                .straggler(0, 2.5)
+                .corrupt_tile(TaskId(4)),
             choices: vec![0, 1, 1, 0],
             invariant: Invariant::Deadlock,
             detail: "worker 0: waiting on condvar #1 (released mutex #0)".to_string(),
@@ -1544,6 +1410,37 @@ mod tests {
         let json = w3.to_json();
         assert!(json.contains("\"model\": \"serve-pool\""));
         assert_eq!(Witness::from_json(&json).unwrap(), w3);
+    }
+
+    /// A witness as `repro mc --tiles 3 --mutate skip-dead-requeue
+    /// --faults --witness-out` wrote it before the fault list moved to
+    /// `FaultPlan`'s codec (spaced objects rather than compact ones).
+    #[test]
+    fn witness_in_the_spaced_fault_format_still_parses() {
+        let text = r#"{
+  "version": 1,
+  "scenario": {"n_tiles": 3, "n_workers": 2, "mutation": "skip-dead-requeue"},
+  "fault": [{"kind": "worker_death", "worker": 0, "after_starts": 1}],
+  "choices": [],
+  "violation": {"invariant": "deadlock", "detail": "worker 1: waiting on condvar #2 (released mutex #0)"},
+  "schedules_explored": 27
+}"#;
+        let expected = Witness {
+            version: 1,
+            model: "rt".to_string(),
+            n_tiles: 3,
+            n_workers: 2,
+            mutation: Some("skip-dead-requeue".to_string()),
+            plan: FaultPlan::new().kill_worker(0, 1),
+            choices: vec![],
+            invariant: Invariant::Deadlock,
+            detail: "worker 1: waiting on condvar #2 (released mutex #0)".to_string(),
+            schedules_explored: 27,
+        };
+        assert_eq!(Witness::from_json(text).unwrap(), expected);
+        assert!(expected
+            .to_json()
+            .contains(r#""fault": [{"kind":"worker_death","worker":0,"after_starts":1}],"#));
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Integration tests for the model checker: DPOR pruning strength, fault
-//! exhaustion, seeded-mutation detection and witness replay determinism.
+//! Integration tests for the recovery checker: fault exhaustion,
+//! seeded-mutation detection and witness replay determinism. The DPOR
+//! branch counts on the fault-free runtime are pinned in `race.rs`.
 
 use hetchol_analyze::{
-    check_recovery, explore_runtime, explore_runtime_dpor, replay_witness, resilient_runner,
-    ExploreConfig, Invariant, RecoveryScenario, RoundRobin, Witness,
+    check_recovery, replay_witness, resilient_runner, ExploreConfig, Invariant, RecoveryScenario,
+    RoundRobin, Witness,
 };
 use hetchol_core::dag::TaskGraph;
 use hetchol_core::fault::{ConfigError, FaultPlan, RetryPolicy};
@@ -13,23 +14,6 @@ use hetchol_rt::{FnWorkload, RtResult};
 
 fn cfg() -> ExploreConfig {
     ExploreConfig::default()
-}
-
-/// The PR 2 chain scenario: DPOR must explore strictly fewer branches
-/// than the sleep-set baseline, with identical (clean, complete) verdicts.
-#[test]
-fn dpor_explores_strictly_fewer_branches_than_sleep_sets() {
-    let graph = TaskGraph::cholesky(2);
-    let sleep = explore_runtime(&graph, 2, cfg());
-    let dpor = explore_runtime_dpor(&graph, 2, cfg());
-    assert!(sleep.is_clean() && sleep.complete, "{sleep:?}");
-    assert!(dpor.is_clean() && dpor.complete, "{dpor:?}");
-    assert!(
-        dpor.schedules_run < sleep.schedules_run,
-        "DPOR must prune strictly more than sleep sets: dpor={} sleep={}",
-        dpor.schedules_run,
-        sleep.schedules_run
-    );
 }
 
 /// Exhaustive verification of the stock resilient runtime on the 2-worker,
@@ -140,14 +124,4 @@ fn skip_dead_requeue_mutation_is_found_and_witness_replays() {
         clean.failures
     );
     assert!(clean.exhausted);
-}
-
-/// Three workers, fault-free: DPOR still covers the tree and agrees with
-/// the sleep-set explorer's verdict.
-#[test]
-fn dpor_handles_three_workers() {
-    let graph = TaskGraph::cholesky(2);
-    let report = explore_runtime_dpor(&graph, 3, cfg());
-    assert!(report.is_clean(), "{report:?}");
-    assert!(report.complete);
 }

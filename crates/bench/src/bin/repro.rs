@@ -18,7 +18,7 @@
 //!
 //! repro analyze              # lint both engines' traces (exit 1 on errors)
 //! repro chaos [--seed N]     # seeded fault-injection matrix over both engines (exit 1 on failures)
-//! repro mc [--workers N] [--tiles N] [--faults] [--mutate <bug>] [--compare-pruning]
+//! repro mc [--workers N] [--tiles N] [--faults] [--mutate <bug>]
 //!          [--witness-out <file>] [--replay <witness.json>]
 //!                            # DPOR model checking of the resilient runtime (exit 1 on violations)
 //! repro race [--serve] [--mutate <bug>] [--witness-out <file>]
@@ -126,7 +126,6 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|| die("--tiles needs an integer"));
             }
             "--faults" => mc.faults = true,
-            "--compare-pruning" => mc.compare_pruning = true,
             "--serve" => race.serve_only = true,
             "--mutate" => {
                 let name = it.next().unwrap_or_else(|| die("--mutate needs a name"));
@@ -177,6 +176,9 @@ fn parse_args() -> Args {
             "--keep-alive" => keep_alive = true,
             "--disk-fault" => disk_fault = true,
             "--kill-restart" => kill_restart = true,
+            flag if flag.starts_with("--") && flag != "--help" => {
+                die(&format!("unknown flag `{flag}`; try `repro help`"))
+            }
             _ => rest.push(a),
         }
     }
@@ -533,7 +535,7 @@ fn main() {
                  \u{20}            lu  qr   (extension: same methodology on LU / QR)\n\
                  \u{20}            analyze  (lint both engines' traces; exit 1 on errors)\n\
                  \u{20}            chaos [--seed N]  (fault-injection matrix over both engines; exit 1 on failures)\n\
-                 \u{20}            mc [--workers N] [--tiles N] [--faults] [--mutate <bug>] [--compare-pruning]\n\
+                 \u{20}            mc [--workers N] [--tiles N] [--faults] [--mutate <bug>]\n\
                  \u{20}               [--witness-out <file>] [--replay <witness.json>]\n\
                  \u{20}               (DPOR model checking of the resilient runtime; exit 1 on violations)\n\
                  \u{20}            race [--serve] [--mutate <bug>] [--witness-out <file>]\n\

@@ -1349,9 +1349,6 @@ pub struct McOptions {
     /// Seeded-bug runner (`skip-dead-requeue` or `drop-release-notify`);
     /// `None` model-checks the stock runtime.
     pub mutate: Option<String>,
-    /// Also run the sleep-set baseline on the fault-free tree and print
-    /// the branch-count comparison (verdicts must agree).
-    pub compare_pruning: bool,
     /// Write a found witness (replayable JSON) to this path.
     pub witness_out: Option<std::path::PathBuf>,
     /// Emit machine-readable JSON instead of text.
@@ -1365,7 +1362,6 @@ impl Default for McOptions {
             n_workers: 2,
             faults: false,
             mutate: None,
-            compare_pruning: false,
             witness_out: None,
             json: false,
         }
@@ -1409,7 +1405,7 @@ fn mc_runner(n_tiles: usize, n_workers: usize, mutation: Option<&str>) -> Result
     let profile = TimingProfile::mirage_homogeneous();
     let policy = RetryPolicy::default();
     Ok(Box::new(move |plan| {
-        let mut sched = hetchol_analyze::race::RoundRobin;
+        let mut sched = hetchol_analyze::RoundRobin;
         let workload = hetchol_rt::FnWorkload(|_| Ok::<(), std::convert::Infallible>(()));
         execute_resilient_mutated(
             &workload, &graph, &mut sched, &profile, n_workers, plan, &policy, mutations,
@@ -1426,10 +1422,9 @@ fn mc_runner(n_tiles: usize, n_workers: usize, mutation: Option<&str>) -> Result
 /// replayed to confirm determinism, fed to the linter (rule 18,
 /// `mc-witness`) when the replay yields a trace, and optionally written
 /// to `--witness-out`. Returns the rendered report and the exit code
-/// (nonzero on violations, runner failures, or a pruning mismatch).
+/// (nonzero on violations or runner failures).
 pub fn mc(opts: &McOptions) -> (String, usize) {
-    use hetchol_analyze::race::{explore_runtime, ExploreConfig};
-    use hetchol_analyze::{check_recovery, explore_runtime_dpor, RecoveryScenario};
+    use hetchol_analyze::{check_recovery, ExploreConfig, RecoveryScenario};
     use hetchol_core::fault::FaultPlan;
     use std::fmt::Write as _;
 
@@ -1455,33 +1450,6 @@ pub fn mc(opts: &McOptions) -> (String, usize) {
                 None => String::new(),
             },
         );
-    }
-
-    // Pruning comparison runs on the stock fault-free tree — the claim is
-    // about the explorer, not the scenario under test.
-    let mut compare = None;
-    if opts.compare_pruning {
-        let sleep = explore_runtime(&graph, opts.n_workers, cfg);
-        let dpor = explore_runtime_dpor(&graph, opts.n_workers, cfg);
-        let agree = sleep.is_clean() == dpor.is_clean() && sleep.complete == dpor.complete;
-        if !agree {
-            errors += 1;
-        }
-        if !opts.json {
-            let _ = writeln!(
-                out,
-                "pruning: sleep-set baseline {} branches, DPOR {} branches ({}; verdicts {})",
-                sleep.schedules_run,
-                dpor.schedules_run,
-                if dpor.schedules_run < sleep.schedules_run {
-                    "DPOR strictly fewer"
-                } else {
-                    "no reduction"
-                },
-                if agree { "agree" } else { "DISAGREE" },
-            );
-        }
-        compare = Some((sleep.schedules_run, dpor.schedules_run, agree));
     }
 
     let scenario = RecoveryScenario {
@@ -1562,12 +1530,6 @@ pub fn mc(opts: &McOptions) -> (String, usize) {
             "{{\"tiles\":{},\"workers\":{},\"plans\":{},\"schedules_run\":{},\"exhausted\":{}",
             opts.n_tiles, opts.n_workers, report.plans, report.schedules_run, report.exhausted
         );
-        if let Some((sleep, dpor, agree)) = compare {
-            let _ = write!(
-                out,
-                ",\"compare_pruning\":{{\"sleep_set\":{sleep},\"dpor\":{dpor},\"verdicts_agree\":{agree}}}"
-            );
-        }
         match &report.witness {
             Some(w) => {
                 let _ = write!(out, ",\"witness\":{}", w.to_json());
@@ -1620,8 +1582,7 @@ pub fn mc(opts: &McOptions) -> (String, usize) {
 /// tag: the resilient runtime (the default) or the serve pool
 /// (`"serve-pool"`, produced by `repro race --mutate leak-killed-batch`).
 pub fn mc_replay(text: &str, json: bool) -> (String, usize) {
-    use hetchol_analyze::race::ExploreConfig;
-    use hetchol_analyze::Witness;
+    use hetchol_analyze::{ExploreConfig, Witness};
     use std::fmt::Write as _;
 
     let witness = match Witness::from_json(text) {
@@ -1767,8 +1728,8 @@ pub struct RaceOptions {
 /// The exploration budget the serve-pool model runs under: the stock tree
 /// is ~59k schedules, well inside this cap, so `exhausted: false` is a
 /// real finding rather than a budget artifact.
-fn serve_model_config() -> hetchol_analyze::race::ExploreConfig {
-    hetchol_analyze::race::ExploreConfig {
+fn serve_model_config() -> hetchol_analyze::ExploreConfig {
+    hetchol_analyze::ExploreConfig {
         max_schedules: 200_000,
         max_steps: 20_000,
         sleep_sets: true,
