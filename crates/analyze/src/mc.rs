@@ -167,20 +167,36 @@ enum DriveEnd {
     Exhausted,
     /// `max_schedules` hit before exhaustion.
     Budget,
-    /// A run deadlocked (model-level: no enabled parked thread).
-    Deadlock {
-        parked: Vec<(usize, String)>,
-        choices: Vec<usize>,
-    },
-    /// A run hit `max_steps` decisions — the no-livelock invariant.
-    Capped { choices: Vec<usize> },
     /// A run panicked (worker assertion, replay divergence…).
     Failure(String),
-    /// The post-run invariant check flagged a completed run.
-    Finding {
+    /// A run violated an invariant: it deadlocked, hit the step cap, or
+    /// the post-run check flagged it. `choices` reach it; `target` is
+    /// what the minimizer must reproduce.
+    Verdict {
         violation: Violation,
         choices: Vec<usize>,
+        target: Target,
     },
+}
+
+/// The violation of a run the session stopped before quiescence: a model
+/// deadlock naming each parked worker and what it waits on, or, with no
+/// parked set, a run over the `max_steps` decision cap.
+fn stop_violation(parked: Option<&[(usize, String)]>, max_steps: usize) -> Violation {
+    match parked {
+        Some(parked) => Violation {
+            invariant: Invariant::Deadlock,
+            detail: parked
+                .iter()
+                .map(|(w, what)| format!("worker {w}: {what}"))
+                .collect::<Vec<_>>()
+                .join("; "),
+        },
+        None => Violation {
+            invariant: Invariant::NoLivelock,
+            detail: format!("a run exceeded {max_steps} scheduling decisions — livelock"),
+        },
+    }
 }
 
 struct Drive {
@@ -219,10 +235,18 @@ fn drive(
                 break DriveEnd::Failure(msg);
             }
             if let Some(parked) = deadlocked {
-                break DriveEnd::Deadlock { parked, choices };
+                break DriveEnd::Verdict {
+                    violation: stop_violation(Some(&parked), cfg.max_steps),
+                    choices,
+                    target: Target::Deadlock(parked),
+                };
             }
             if capped {
-                break DriveEnd::Capped { choices };
+                break DriveEnd::Verdict {
+                    violation: stop_violation(None, cfg.max_steps),
+                    choices,
+                    target: Target::Capped,
+                };
             }
             break DriveEnd::Failure("run panicked without a message".to_string());
         }
@@ -245,7 +269,12 @@ fn drive(
         add_backtracks(&trail, n_workers, &mut frames);
 
         if let Some(violation) = post_run() {
-            break DriveEnd::Finding { violation, choices };
+            let target = Target::Invariant(violation.invariant.id());
+            break DriveEnd::Verdict {
+                violation,
+                choices,
+                target,
+            };
         }
 
         // Backtrack to the deepest state with a race-justified, untried,
@@ -445,36 +474,11 @@ pub fn check_model(
             drop(guard);
             return report;
         }
-        DriveEnd::Deadlock { parked, choices } => {
-            let detail = parked
-                .iter()
-                .map(|(w, what)| format!("worker {w}: {what}"))
-                .collect::<Vec<_>>()
-                .join("; ");
-            (
-                Violation {
-                    invariant: Invariant::Deadlock,
-                    detail,
-                },
-                choices,
-                Target::Deadlock(parked),
-            )
-        }
-        DriveEnd::Capped { choices } => (
-            Violation {
-                invariant: Invariant::NoLivelock,
-                detail: format!(
-                    "a run exceeded {} scheduling decisions — livelock",
-                    cfg.max_steps
-                ),
-            },
+        DriveEnd::Verdict {
+            violation,
             choices,
-            Target::Capped,
-        ),
-        DriveEnd::Finding { violation, choices } => {
-            let target = Target::Invariant(violation.invariant.id());
-            (violation, choices, target)
-        }
+            target,
+        } => (violation, choices, target),
     };
     report.choices = minimize_prefix(
         &session,
@@ -499,8 +503,10 @@ pub struct ModelReplay {
 }
 
 /// Deterministically re-run a model witness: force the choice prefix,
-/// free-run past it, and re-evaluate `post_run`. The generic counterpart
-/// of [`replay_witness`].
+/// free-run past it, and classify the end — a model deadlock or step cap
+/// as its violation, any other abort as an error, and a quiescent run by
+/// `post_run`. [`replay_witness`] is this run with the invariant engine
+/// as `post_run`.
 pub fn replay_model(
     n_threads: usize,
     cfg: ExploreConfig,
@@ -525,31 +531,14 @@ pub fn replay_model(
         observed: None,
         error: None,
     };
-    if outcome.is_err() || failure.is_some() {
-        if let Some(parked) = deadlocked {
-            replay.observed = Some(Violation {
-                invariant: Invariant::Deadlock,
-                detail: parked
-                    .iter()
-                    .map(|(w, what)| format!("worker {w}: {what}"))
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            });
-        } else if capped {
-            replay.observed = Some(Violation {
-                invariant: Invariant::NoLivelock,
-                detail: format!(
-                    "a run exceeded {} scheduling decisions — livelock",
-                    cfg.max_steps
-                ),
-            });
-        } else {
-            replay.error = failure
-                .or(panic_msg)
-                .or_else(|| Some("run panicked without a message".to_string()));
-        }
-    } else {
+    if outcome.is_ok() && failure.is_none() {
         replay.observed = post_run();
+    } else if deadlocked.is_some() || capped {
+        replay.observed = Some(stop_violation(deadlocked.as_deref(), cfg.max_steps));
+    } else {
+        replay.error = failure
+            .or(panic_msg)
+            .or_else(|| Some("run panicked without a message".to_string()));
     }
     replay
 }
@@ -1084,36 +1073,11 @@ pub fn check_recovery(
                     .push(format!("[{}] {msg}", plan_label(plan)));
                 break;
             }
-            DriveEnd::Deadlock { parked, choices } => {
-                let detail = parked
-                    .iter()
-                    .map(|(w, what)| format!("worker {w}: {what}"))
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                (
-                    Violation {
-                        invariant: Invariant::Deadlock,
-                        detail,
-                    },
-                    choices,
-                    Target::Deadlock(parked),
-                )
-            }
-            DriveEnd::Capped { choices } => (
-                Violation {
-                    invariant: Invariant::NoLivelock,
-                    detail: format!(
-                        "a run exceeded {} scheduling decisions — livelock under retry backoff",
-                        cfg.max_steps
-                    ),
-                },
+            DriveEnd::Verdict {
+                violation,
                 choices,
-                Target::Capped,
-            ),
-            DriveEnd::Finding { violation, choices } => {
-                let target = Target::Invariant(violation.invariant.id());
-                (violation, choices, target)
-            }
+                target,
+            } => (violation, choices, target),
         };
 
         let min_choices = minimize_prefix(
@@ -1173,64 +1137,34 @@ pub fn replay_witness(
 ) -> Replay {
     assert!(witness.n_workers > 0, "witness names zero workers");
     let graph = TaskGraph::cholesky(witness.n_tiles);
-    let _serial = lock_of(&SESSION_LOCK);
-    let session = Arc::new(Session::new(witness.n_workers, &cfg));
-    let guard = SessionGuard::install(session.clone());
-
     let slot: RefCell<Option<RtResult>> = RefCell::new(None);
-    let mut run_once = || {
-        let r = runner(&witness.plan).expect("fault plan rejected by the runtime");
-        *slot.borrow_mut() = Some(r);
-    };
-
-    session.reset(witness.choices.clone(), Vec::new());
-    guard.clear();
-    let outcome = panic::catch_unwind(AssertUnwindSafe(&mut run_once));
-    session.drain();
-    let (_trail, deadlocked, capped, failure) = session.take_outcome();
-    let panic_msg = guard.take_panic();
-    drop(guard);
-
-    let mut replay = Replay {
-        observed: None,
-        error: None,
-        reproduced: false,
-        result: None,
-    };
-    if outcome.is_err() || failure.is_some() {
-        if let Some(parked) = deadlocked {
-            replay.observed = Some(Violation {
-                invariant: Invariant::Deadlock,
-                detail: parked
-                    .iter()
-                    .map(|(w, what)| format!("worker {w}: {what}"))
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            });
-        } else if capped {
-            replay.observed = Some(Violation {
-                invariant: Invariant::NoLivelock,
-                detail: format!(
-                    "a run exceeded {} scheduling decisions — livelock under retry backoff",
-                    cfg.max_steps
-                ),
-            });
-        } else {
-            replay.error = failure
-                .or(panic_msg)
-                .or_else(|| Some("run panicked without a message".to_string()));
-        }
-    } else if let Some(r) = slot.into_inner() {
-        replay.observed = trace_invariants(&graph, &r.trace, &r.outcome)
-            .into_iter()
-            .next();
-        replay.result = Some(r);
-    }
-    replay.reproduced = replay
-        .observed
+    let mut result = None;
+    let ModelReplay { observed, error } = replay_model(
+        witness.n_workers,
+        cfg,
+        &witness.choices,
+        || {
+            let r = runner(&witness.plan).expect("fault plan rejected by the runtime");
+            *slot.borrow_mut() = Some(r);
+        },
+        || {
+            let r = slot.borrow_mut().take()?;
+            let violation = trace_invariants(&graph, &r.trace, &r.outcome)
+                .into_iter()
+                .next();
+            result = Some(r);
+            violation
+        },
+    );
+    let reproduced = observed
         .as_ref()
         .is_some_and(|v| v.invariant == witness.invariant);
-    replay
+    Replay {
+        observed,
+        error,
+        reproduced,
+        result,
+    }
 }
 
 #[cfg(test)]

@@ -15,6 +15,8 @@
 //! repro hint-gemmsyrk        # Section V-C3 first experiment
 //! repro mapping-only         # Section VI-B experiment
 //! repro sweep-k [n]          # makespan vs triangle offset k
+//! repro ablation comm        # dmda at n = 16 vs PCI bandwidth
+//! repro ablation priorities  # dmda vs dmdas GFLOP/s and GPU idle % per size
 //!
 //! repro analyze              # lint both engines' traces (exit 1 on errors)
 //! repro chaos [--seed N]     # seeded fault-injection matrix over both engines (exit 1 on failures)
@@ -523,6 +525,14 @@ fn main() {
                 println!("{k:>6} {g:>10.2}");
             }
         }
+        "ablation" => match args.rest.get(1).map(String::as_str) {
+            Some("comm") => print!("{}", bench::ablation_comm()),
+            Some("priorities") => print!("{}", bench::ablation_priorities()),
+            Some(other) => die(&format!(
+                "unknown ablation `{other}`; expected `comm` or `priorities`"
+            )),
+            None => die("ablation needs a name: `comm` or `priorities`"),
+        },
         other => die(&format!("unknown subcommand `{other}`; try `repro help`")),
     };
 
@@ -532,6 +542,7 @@ fn main() {
                 "repro — regenerate the paper's tables and figures\n\
                  subcommands: all table1 kfactors fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8\n\
                  \u{20}            fig9 [n k]  fig10  fig11  fig12  hint-gemmsyrk  mapping-only  sweep-k [n]\n\
+                 \u{20}            ablation comm|priorities  (PCI bandwidth sweep; dmda vs dmdas GPU idle per size)\n\
                  \u{20}            lu  qr   (extension: same methodology on LU / QR)\n\
                  \u{20}            analyze  (lint both engines' traces; exit 1 on errors)\n\
                  \u{20}            chaos [--seed N]  (fault-injection matrix over both engines; exit 1 on failures)\n\
@@ -559,8 +570,8 @@ fn main() {
                  \u{20}             certify, obs-check, bench-check, storm), 2 = usage error\n\
                  \u{20} --json: structured output on every figure/report subcommand (fig2..fig8, fig10,\n\
                  \u{20}         fig11, hint-gemmsyrk, mapping-only, lu, qr, analyze, chaos, mc, certify,\n\
-                 \u{20}         bench, storm); fig1, fig9, fig12, table1, kfactors and sweep-k render\n\
-                 \u{20}         ASCII art / plain tables only"
+                 \u{20}         bench, storm); fig1, fig9, fig12, table1, kfactors, sweep-k and\n\
+                 \u{20}         ablation render ASCII art / plain tables only"
             );
         }
         "all" => {

@@ -1,10 +1,11 @@
 //! # hetchol-bench
 //!
-//! The reproduction harness: one function per table/figure of the paper,
-//! shared by the `repro` binary and the criterion benches. Each function
-//! returns a [`Figure`] (labelled series over matrix sizes) that the
-//! binary renders as an aligned table or CSV — the textual equivalent of
-//! the paper's plots.
+//! The reproduction harness behind the `repro` binary: one function per
+//! table/figure of the paper, plus the ablation tables of its design
+//! choices. Each figure function returns a [`Figure`] (labelled series
+//! over matrix sizes) that the binary renders as an aligned table or CSV
+//! — the textual equivalent of the paper's plots; tables come back as
+//! plain text.
 
 pub mod perf;
 pub mod storm;
@@ -755,6 +756,72 @@ pub fn figure12() -> String {
         let _ = writeln!(out, "GPU idle fraction: {:.1}%\n", idle * 100.0);
     }
     out.push_str("(P = POTRF, T = TRSM, S = SYRK, G = GEMM, . = idle)\n");
+    out
+}
+
+/// Ablation: dmda at n = 16 against the PCI bandwidth — when do
+/// communications start to hurt? Justifies the paper's comm-free bound
+/// comparisons ("data transfers are largely overlapped with kernel
+/// computation").
+pub fn ablation_comm() -> String {
+    use hetchol_core::platform::CommModel;
+    use hetchol_core::time::Time;
+    use std::fmt::Write as _;
+    let profile = TimingProfile::mirage();
+    let n = 16;
+    let gflops = |platform: &Platform| {
+        sim_gflops(
+            n,
+            platform,
+            &profile,
+            SchedKind::Dmda,
+            &SimOptions::default(),
+        )
+    };
+    let mut out = String::new();
+    let _ = writeln!(out, "# Ablation: dmda GFLOP/s at n = 16 vs PCI bandwidth");
+    let _ = writeln!(out, "{:>12} {:>10}", "bandwidth", "GFLOP/s");
+    let free = gflops(&Platform::mirage().without_comm());
+    let _ = writeln!(out, "{:>12} {free:>10.2}", "infinite");
+    for gbps in [16.0f64, 8.0, 4.0, 2.0, 1.0, 0.5] {
+        let g = gflops(&Platform::mirage().with_comm(CommModel {
+            latency: Time::from_micros(10),
+            bandwidth: gbps * 1e9,
+        }));
+        let _ = writeln!(out, "{gbps:>10.1}GB {g:>10.2}");
+    }
+    out
+}
+
+/// Ablation: what the HEFT priorities of `dmdas` buy over plain FIFO
+/// `dmda` — the Figure 12 idle-time defect quantified across sizes.
+pub fn ablation_priorities() -> String {
+    use std::fmt::Write as _;
+    let platform = Platform::mirage().without_comm();
+    let profile = TimingProfile::mirage();
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "# Ablation: dmda (FIFO) vs dmdas (priority-sorted), GPU idle %"
+    );
+    let _ = writeln!(
+        out,
+        "{:>6} {:>12} {:>12} {:>10} {:>10}",
+        "tiles", "dmda GF/s", "dmdas GF/s", "idle dmda", "idle dmdas"
+    );
+    for n in [4usize, 8, 12, 16, 24, 32] {
+        let [a, b] = [SchedKind::Dmda, SchedKind::Dmdas]
+            .map(|kind| sim_result(n, &platform, &profile, kind, &SimOptions::default()));
+        let _ = writeln!(
+            out,
+            "{:>6} {:>12.2} {:>12.2} {:>9.1}% {:>9.1}%",
+            n,
+            a.gflops(n, profile.nb()),
+            b.gflops(n, profile.nb()),
+            a.trace.idle_fraction(9..12) * 100.0,
+            b.trace.idle_fraction(9..12) * 100.0,
+        );
+    }
     out
 }
 

@@ -1,5 +1,6 @@
-//! The `repro` command line: an unknown flag is a usage error (exit 2,
-//! the flag named on stderr), and every spelling of help exits 0.
+//! The `repro` command line: an unknown flag or ablation name is a usage
+//! error (exit 2, the offending word named on stderr), every spelling of
+//! help exits 0, and the ablation tables print their pinned bytes.
 
 use std::process::{Command, Output};
 
@@ -16,6 +17,7 @@ fn unknown_flags_are_usage_errors() {
         ["mc", "--compare-pruning"],
         ["certify", "--frobnicate"],
         ["table1", "--nonsense"],
+        ["ablation", "bogus"],
     ] {
         let out = repro(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -34,4 +36,48 @@ fn help_exits_zero() {
         assert_eq!(out.status.code(), Some(0), "repro {arg}");
         assert!(String::from_utf8_lossy(&out.stdout).contains("subcommands:"));
     }
+}
+
+/// `repro ablation <name>` must exit 0 and print exactly `expected`. The
+/// tables were pinned from the criterion benches that printed them before
+/// `repro ablation` did.
+fn assert_ablation(name: &str, expected: &str) {
+    let out = repro(&["ablation", name]);
+    assert_eq!(out.status.code(), Some(0), "repro ablation {name}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+}
+
+#[test]
+fn ablation_comm_prints_the_bandwidth_sweep() {
+    assert_ablation(
+        "comm",
+        "\
+# Ablation: dmda GFLOP/s at n = 16 vs PCI bandwidth
+   bandwidth    GFLOP/s
+    infinite     663.13
+      16.0GB     660.50
+       8.0GB     649.34
+       4.0GB     639.82
+       2.0GB     612.61
+       1.0GB     548.46
+       0.5GB     352.91
+",
+    );
+}
+
+#[test]
+fn ablation_priorities_prints_idle_per_size() {
+    assert_ablation(
+        "priorities",
+        "\
+# Ablation: dmda (FIFO) vs dmdas (priority-sorted), GPU idle %
+ tiles    dmda GF/s   dmdas GF/s  idle dmda idle dmdas
+     4       115.07       119.75      54.7%      52.9%
+     8       347.95       407.81      30.4%      13.1%
+    12       536.10       594.53      13.1%       5.5%
+    16       663.13       667.49       7.2%       2.8%
+    24       781.92       809.32       2.5%       1.0%
+    32       828.45       861.47       1.1%       0.5%
+",
+    );
 }

@@ -146,8 +146,8 @@ struct Ctx {
     /// Cleared by the first drain; a false value sheds new submissions
     /// with 503 `draining` while queued work finishes.
     accepting: AtomicBool,
-    /// Set (under `drained`/`drained_cv`) once the pool has drained and
-    /// the log is synced.
+    /// Set (under `drained`/`drained_cv`) once the first drain has
+    /// finished and been answered; `repro serve` exits when it rises.
     drained: StdMutex<bool>,
     drained_cv: Condvar,
 }
@@ -155,21 +155,31 @@ struct Ctx {
 impl Ctx {
     /// Drain once, idempotently: the first caller stops new submissions,
     /// waits for every queued job to be answered, fsyncs the log, and
-    /// signals; later callers just wait for that to finish.
+    /// returns; it then answers and raises the flag with
+    /// [`Ctx::raise_drained`]. Later callers wait for that flag.
     fn drain(&self) {
         if self.accepting.swap(false, Ordering::SeqCst) {
             self.pool.drain();
             if let Some(log) = &self.state.log {
                 let _ = log.sync();
             }
-            let mut done = self.drained.lock().expect("drained flag");
-            *done = true;
-            self.drained_cv.notify_all();
         } else {
-            let mut done = self.drained.lock().expect("drained flag");
-            while !*done {
-                done = self.drained_cv.wait(done).expect("drained flag");
-            }
+            self.wait_drained();
+        }
+    }
+
+    /// Raise the drained flag. The first drain's caller does this only
+    /// once its answer is out, so a server exiting on the flag never
+    /// drops that answer.
+    fn raise_drained(&self) {
+        *self.drained.lock().expect("drained flag") = true;
+        self.drained_cv.notify_all();
+    }
+
+    fn wait_drained(&self) {
+        let mut done = self.drained.lock().expect("drained flag");
+        while !*done {
+            done = self.drained_cv.wait(done).expect("drained flag");
         }
     }
 }
@@ -273,15 +283,14 @@ impl Server {
     /// Blocks until done; idempotent.
     pub fn drain(&self) {
         self.ctx.drain();
+        self.ctx.raise_drained();
     }
 
     /// Block until a drain — ours or one requested over HTTP — has
-    /// completed. `repro serve` parks here instead of sleeping forever.
+    /// completed and been answered. `repro serve` parks here instead of
+    /// sleeping forever.
     pub fn wait_drained(&self) {
-        let mut done = self.ctx.drained.lock().expect("drained flag");
-        while !*done {
-            done = self.ctx.drained_cv.wait(done).expect("drained flag");
-        }
+        self.ctx.wait_drained();
     }
 
     /// Stop accepting, stop the workers, join the acceptor. In-flight
@@ -315,21 +324,28 @@ fn handle_connection(stream: TcpStream, ctx: &Arc<Ctx>) {
     let mut reader = std::io::BufReader::new(stream);
     let cap = ctx.config.max_requests_per_conn.max(1);
     for served in 1..=cap {
-        let (status, body, client_keep) = match http::read_request(&mut reader) {
+        let (status, body, client_keep, drain) = match http::read_request(&mut reader) {
             Ok(req) => {
                 let keep = req.keep_alive;
+                let drain = req.method == "POST" && req.path == "/admin/drain";
                 let (status, body) = route(&req, ctx);
-                (status, body, keep)
+                (status, body, keep, drain)
             }
             Err(http::ReadError::Eof) | Err(http::ReadError::Io(_)) => return,
             Err(http::ReadError::Malformed(detail)) => {
                 // A malformed request leaves the stream position
                 // unknowable; answer and close.
-                (400, error_body("bad-request", &detail), false)
+                (400, error_body("bad-request", &detail), false, false)
             }
         };
         let keep = client_keep && served < cap;
-        if http::write_response(&mut write_half, status, &body, keep).is_err() || !keep {
+        let written = http::write_response(&mut write_half, status, &body, keep);
+        if drain {
+            // The drain's answer is out (or its client is gone): only
+            // now may a server waiting on the flag exit.
+            ctx.raise_drained();
+        }
+        if written.is_err() || !keep {
             return;
         }
     }

@@ -449,7 +449,7 @@ fn drain_finishes_commits_then_sheds_draining() {
     let (status, _) = client::get(server.addr(), "/stats").unwrap();
     assert_eq!(status, 200);
 
-    server.wait_drained(); // already drained: returns immediately
+    server.wait_drained(); // the flag rose once the drain's 200 was written
     server.shutdown();
 
     // The drain's final fsync left the commit durable and the log clean.
