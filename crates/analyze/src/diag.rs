@@ -7,9 +7,11 @@
 //! --analyze` harness can show the complete damage of a bad schedule at
 //! once and machine-consume it as JSON.
 
+use hetchol_core::json::escape_into;
 use hetchol_core::platform::WorkerId;
 use hetchol_core::task::TaskId;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// The lint rule catalog. Each variant has a stable kebab-case id used in
 /// the JSON report and CI output; see DESIGN.md §4 for the full catalog
@@ -211,42 +213,29 @@ impl Report {
     /// diagnostic carrying `rule`, `severity`, `task` (id or null),
     /// `worker` (id or null) and `message`.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+        let mut out = format!(
             "{{\"errors\":{},\"warnings\":{},\"diagnostics\":[",
             self.n_errors(),
             self.n_warnings()
-        ));
+        );
         for (i, d) in self.diagnostics.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"severity\":\"{}\",\"task\":{},\"worker\":{},\"message\":\"{}\"}}",
+            let _ = write!(
+                out,
+                "{{\"rule\":\"{}\",\"severity\":\"{}\",\"task\":{},\"worker\":{},\"message\":",
                 d.rule,
                 d.severity,
                 d.task.map_or("null".to_string(), |t| t.index().to_string()),
                 d.worker.map_or("null".to_string(), |w| w.to_string()),
-                escape_json(&d.message),
-            ));
+            );
+            escape_into(&d.message, &mut out);
+            out.push('}');
         }
         out.push_str("]}");
         out
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -261,6 +250,25 @@ mod tests {
             assert!(r.id().chars().all(|c| c.is_ascii_lowercase() || c == '-'));
         }
         assert!(seen.len() >= 8, "catalog must stay ≥ 8 rules");
+    }
+
+    #[test]
+    fn messages_use_the_shared_escaper() {
+        let report = Report {
+            diagnostics: vec![Diagnostic {
+                rule: Rule::BadWorker,
+                severity: Severity::Warning,
+                task: None,
+                worker: Some(2),
+                message: "tab\there\r\n\u{1}".to_string(),
+            }],
+        };
+        assert_eq!(
+            report.to_json(),
+            "{\"errors\":0,\"warnings\":1,\"diagnostics\":[{\"rule\":\"bad-worker\",\
+             \"severity\":\"warning\",\"task\":null,\"worker\":2,\
+             \"message\":\"tab\\there\\r\\n\\u0001\"}]}"
+        );
     }
 
     #[test]

@@ -833,14 +833,6 @@ pub struct Witness {
     pub schedules_explored: usize,
 }
 
-/// The shared [`hetchol_core::json`] escaper, minus the surrounding quotes
-/// (this emitter's format strings supply their own).
-fn json_escape(s: &str) -> String {
-    let mut quoted = String::with_capacity(s.len() + 2);
-    hetchol_core::json::escape_into(s, &mut quoted);
-    quoted[1..quoted.len() - 1].to_string()
-}
-
 impl Witness {
     /// Serialize to the versioned plain-JSON witness format.
     pub fn to_json(&self) -> String {
@@ -852,14 +844,14 @@ impl Witness {
         let model_tag = if self.model == "rt" {
             String::new()
         } else {
-            format!("\"model\": \"{}\", ", json_escape(&self.model))
+            format!("\"model\": {}, ", JsonValue::str(&self.model))
         };
         s.push_str(&format!(
             "  \"scenario\": {{{model_tag}\"n_tiles\": {}, \"n_workers\": {}, \"mutation\": {}}},\n",
             self.n_tiles,
             self.n_workers,
             match &self.mutation {
-                Some(m) => format!("\"{}\"", json_escape(m)),
+                Some(m) => JsonValue::str(m).render(),
                 None => "null".to_string(),
             }
         ));
@@ -870,9 +862,9 @@ impl Witness {
         let choices: Vec<String> = self.choices.iter().map(|c| c.to_string()).collect();
         s.push_str(&format!("  \"choices\": [{}],\n", choices.join(", ")));
         s.push_str(&format!(
-            "  \"violation\": {{\"invariant\": \"{}\", \"detail\": \"{}\"}},\n",
+            "  \"violation\": {{\"invariant\": \"{}\", \"detail\": {}}},\n",
             self.invariant.id(),
-            json_escape(&self.detail)
+            JsonValue::str(&self.detail)
         ));
         s.push_str(&format!(
             "  \"schedules_explored\": {}\n",

@@ -38,6 +38,7 @@
 //!                            # load/cache/chaos harness against the job API (exit 1 on failures);
 //!                            # the three flags add the durability legs of DESIGN.md §17
 //!
+//! `--help` or `-h` anywhere prints this usage and runs nothing.
 //! Add `--csv` to print figures as CSV instead of aligned tables.
 //! Add `--obs-out <dir>` to any subcommand to also run one instrumented
 //! reference workload per engine and write observability artifacts
@@ -49,6 +50,8 @@ use hetchol_core::metrics::Figure;
 use hetchol_cp::CpOptions;
 
 struct Args {
+    /// `--help` or `-h` anywhere: print usage and run nothing.
+    help: bool,
     csv: bool,
     json: bool,
     analyze: bool,
@@ -71,6 +74,7 @@ struct Args {
 }
 
 fn parse_args() -> Args {
+    let mut help = false;
     let mut csv = false;
     let mut json = false;
     let mut analyze = false;
@@ -93,6 +97,7 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
+            "--help" | "-h" => help = true,
             "--csv" => csv = true,
             "--json" => json = true,
             "--analyze" => analyze = true,
@@ -178,7 +183,7 @@ fn parse_args() -> Args {
             "--keep-alive" => keep_alive = true,
             "--disk-fault" => disk_fault = true,
             "--kill-restart" => kill_restart = true,
-            flag if flag.starts_with("--") && flag != "--help" => {
+            flag if flag.starts_with("--") => {
                 die(&format!("unknown flag `{flag}`; try `repro help`"))
             }
             _ => rest.push(a),
@@ -187,6 +192,7 @@ fn parse_args() -> Args {
     mc.json = json;
     race.json = json;
     Args {
+        help,
         csv,
         json,
         analyze,
@@ -407,6 +413,46 @@ fn run_obs_dump(dir: &std::path::Path) {
     }
 }
 
+/// The usage text `repro help`, `--help` and `-h` print.
+fn print_usage() {
+    println!(
+        "repro — regenerate the paper's tables and figures\n\
+         subcommands: all table1 kfactors fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8\n\
+         \u{20}            fig9 [n k]  fig10  fig11  fig12  hint-gemmsyrk  mapping-only  sweep-k [n]\n\
+         \u{20}            ablation comm|priorities  (PCI bandwidth sweep; dmda vs dmdas GPU idle per size)\n\
+         \u{20}            lu  qr   (extension: same methodology on LU / QR)\n\
+         \u{20}            analyze  (lint both engines' traces; exit 1 on errors)\n\
+         \u{20}            chaos [--seed N]  (fault-injection matrix over both engines; exit 1 on failures)\n\
+         \u{20}            mc [--workers N] [--tiles N] [--faults] [--mutate <bug>]\n\
+         \u{20}               [--witness-out <file>] [--replay <witness.json>]\n\
+         \u{20}               (DPOR model checking of the resilient runtime; exit 1 on violations)\n\
+         \u{20}            race [--serve] [--mutate <bug>] [--witness-out <file>]\n\
+         \u{20}               (happens-before + lockdep + serve-pool model; stock exits 1 on\n\
+         \u{20}                findings, --mutate exits 1 when the seeded bug is caught)\n\
+         \u{20}            certify  (exact-certify the paper grid's bounds; exit 1 on failures)\n\
+         \u{20}            obs-check <file...>  (validate Chrome-trace JSON; exit 1 on invalid)\n\
+         \u{20}            bench [--quick]  (execution-core throughput matrix; --json for the committed schema)\n\
+         \u{20}            bench-check <fresh> <committed>  (schema + regression gate; exit 1 on failures)\n\
+         \u{20}            serve [--addr A] [--shards N] [--log FILE]\n\
+         \u{20}               (run the hetchol-serve job API in the foreground; --log makes commits\n\
+         \u{20}                durable with crash recovery, and POST /admin/drain exits cleanly)\n\
+         \u{20}            storm [--addr A] [--jobs N] [--p99-limit MS] [--quick]\n\
+         \u{20}                  [--keep-alive] [--disk-fault] [--kill-restart]\n\
+         \u{20}               (load/cache/chaos harness against the job API; exit 1 on failed\n\
+         \u{20}                assertions; the three flags add the durability legs of DESIGN.md §17)\n\
+         flags: --help|-h (anywhere: print this, run nothing)\n\
+         \u{20}      --csv  --json  --analyze  --quick  --cp-budget <iters>  --seed <n>  --obs-out <dir>\n\
+         \u{20}      --addr <host:port>  --shards <n>  --jobs <n>  --p99-limit <ms>  --log <file>\n\
+         conventions:\n\
+         \u{20} exit codes: 0 = success, 1 = findings/failures (analyze, chaos, mc, race,\n\
+         \u{20}             certify, obs-check, bench-check, storm), 2 = usage error\n\
+         \u{20} --json: structured output on every figure/report subcommand (fig2..fig8, fig10,\n\
+         \u{20}         fig11, hint-gemmsyrk, mapping-only, lu, qr, analyze, chaos, mc, certify,\n\
+         \u{20}         bench, storm); fig1, fig9, fig12, table1, kfactors, sweep-k and\n\
+         \u{20}         ablation render ASCII art / plain tables only"
+    );
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
@@ -427,6 +473,10 @@ fn emit(fig: &Figure, args: &Args) {
 fn main() {
     let args = parse_args();
     let cmd = args.rest.first().map(String::as_str).unwrap_or("help");
+    if args.help || cmd == "help" {
+        print_usage();
+        return;
+    }
     if cmd == "obs-check" {
         run_obs_check(&args.rest[1..]);
     }
@@ -537,43 +587,6 @@ fn main() {
     };
 
     match cmd {
-        "help" | "--help" | "-h" => {
-            println!(
-                "repro — regenerate the paper's tables and figures\n\
-                 subcommands: all table1 kfactors fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8\n\
-                 \u{20}            fig9 [n k]  fig10  fig11  fig12  hint-gemmsyrk  mapping-only  sweep-k [n]\n\
-                 \u{20}            ablation comm|priorities  (PCI bandwidth sweep; dmda vs dmdas GPU idle per size)\n\
-                 \u{20}            lu  qr   (extension: same methodology on LU / QR)\n\
-                 \u{20}            analyze  (lint both engines' traces; exit 1 on errors)\n\
-                 \u{20}            chaos [--seed N]  (fault-injection matrix over both engines; exit 1 on failures)\n\
-                 \u{20}            mc [--workers N] [--tiles N] [--faults] [--mutate <bug>]\n\
-                 \u{20}               [--witness-out <file>] [--replay <witness.json>]\n\
-                 \u{20}               (DPOR model checking of the resilient runtime; exit 1 on violations)\n\
-                 \u{20}            race [--serve] [--mutate <bug>] [--witness-out <file>]\n\
-                 \u{20}               (happens-before + lockdep + serve-pool model; stock exits 1 on\n\
-                 \u{20}                findings, --mutate exits 1 when the seeded bug is caught)\n\
-                 \u{20}            certify  (exact-certify the paper grid's bounds; exit 1 on failures)\n\
-                 \u{20}            obs-check <file...>  (validate Chrome-trace JSON; exit 1 on invalid)\n\
-                 \u{20}            bench [--quick]  (execution-core throughput matrix; --json for the committed schema)\n\
-                 \u{20}            bench-check <fresh> <committed>  (schema + regression gate; exit 1 on failures)\n\
-                 \u{20}            serve [--addr A] [--shards N] [--log FILE]\n\
-                 \u{20}               (run the hetchol-serve job API in the foreground; --log makes commits\n\
-                 \u{20}                durable with crash recovery, and POST /admin/drain exits cleanly)\n\
-                 \u{20}            storm [--addr A] [--jobs N] [--p99-limit MS] [--quick]\n\
-                 \u{20}                  [--keep-alive] [--disk-fault] [--kill-restart]\n\
-                 \u{20}               (load/cache/chaos harness against the job API; exit 1 on failed\n\
-                 \u{20}                assertions; the three flags add the durability legs of DESIGN.md §17)\n\
-                 flags: --csv  --json  --analyze  --quick  --cp-budget <iters>  --seed <n>  --obs-out <dir>\n\
-                 \u{20}      --addr <host:port>  --shards <n>  --jobs <n>  --p99-limit <ms>  --log <file>\n\
-                 conventions:\n\
-                 \u{20} exit codes: 0 = success, 1 = findings/failures (analyze, chaos, mc, race,\n\
-                 \u{20}             certify, obs-check, bench-check, storm), 2 = usage error\n\
-                 \u{20} --json: structured output on every figure/report subcommand (fig2..fig8, fig10,\n\
-                 \u{20}         fig11, hint-gemmsyrk, mapping-only, lu, qr, analyze, chaos, mc, certify,\n\
-                 \u{20}         bench, storm); fig1, fig9, fig12, table1, kfactors, sweep-k and\n\
-                 \u{20}         ablation render ASCII art / plain tables only"
-            );
-        }
         "all" => {
             for name in [
                 "table1",

@@ -1,8 +1,10 @@
 //! The `repro` command line: an unknown flag or ablation name is a usage
 //! error (exit 2, the offending word named on stderr), every spelling of
-//! help exits 0, and the ablation tables print their pinned bytes.
+//! help exits 0 without running anything, and the ablation tables print
+//! their pinned bytes.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -29,12 +31,45 @@ fn unknown_flags_are_usage_errors() {
     }
 }
 
+/// Run `repro args`, killing it if it has not exited within `deadline`:
+/// a subcommand that ignores `--help` and starts serving fails the test
+/// instead of hanging it.
+fn repro_within(args: &[&str], deadline: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the repro binary runs");
+    let start = Instant::now();
+    while child.try_wait().expect("poll repro").is_none() {
+        if start.elapsed() > deadline {
+            child.kill().expect("kill repro");
+            let out = child.wait_with_output().expect("reap repro");
+            panic!(
+                "repro {args:?} was still running after {deadline:?}; stdout: {}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("repro output")
+}
+
 #[test]
 fn help_exits_zero() {
-    for arg in ["help", "--help", "-h"] {
-        let out = repro(&[arg]);
-        assert_eq!(out.status.code(), Some(0), "repro {arg}");
-        assert!(String::from_utf8_lossy(&out.stdout).contains("subcommands:"));
+    for args in [
+        &["help"][..],
+        &["--help"],
+        &["-h"],
+        &["serve", "--help"],
+        &["storm", "--help"],
+        &["serve", "--addr", "127.0.0.1:0", "-h"],
+    ] {
+        let out = repro_within(args, Duration::from_secs(20));
+        assert_eq!(out.status.code(), Some(0), "repro {args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("subcommands:"), "repro {args:?}: {stdout}");
     }
 }
 

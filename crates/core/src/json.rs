@@ -186,23 +186,77 @@ impl fmt::Display for JsonValue {
     }
 }
 
-/// Append `s` as a quoted, escaped JSON string.
+/// What [`escape_into`] writes after a backslash for each byte: `0` for
+/// a byte copied as is, `u` for a control character written as `\u00XX`,
+/// and the escape letter for the five with a short form. Every escaped
+/// byte is ASCII, so a run of unescaped bytes always starts and ends on a
+/// char boundary.
+const ESCAPE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = b'u';
+        b += 1;
+    }
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table[b'\n' as usize] = b'n';
+    table[b'\t' as usize] = b't';
+    table[b'\r' as usize] = b'r';
+    table
+};
+
+/// Append `s` as a quoted, escaped JSON string: `"` and `\` and the
+/// control characters are escaped (`\n`, `\t`, `\r` by name, the rest as
+/// `\u00XX`), and each run of bytes between them is copied in one go.
 pub fn escape_into(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = ESCAPE[usize::from(b)];
+        if escape == 0 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        out.push('\\');
+        out.push(char::from(escape));
+        if escape == b'u' {
+            out.push_str("00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Append `n` in decimal: the bytes `write!(out, "{n}")` appends,
+/// without the formatting machinery.
+pub(crate) fn write_uint(n: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Append `n` in decimal, with a `-` when negative: the bytes
+/// `write!(out, "{n}")` appends.
+pub(crate) fn write_int(n: i64, out: &mut String) {
+    if n < 0 {
+        out.push('-');
+    }
+    write_uint(n.unsigned_abs(), out);
 }
 
 /// Append a JSON number: finite values via Rust's shortest round-tripping
@@ -471,6 +525,21 @@ mod tests {
         let ns = 86_400_000_000_000u64; // a day in nanoseconds
         assert_eq!(JsonValue::uint(ns).render(), ns.to_string());
         assert_eq!(parse_json(&ns.to_string()).unwrap().as_u64().unwrap(), ns);
+    }
+
+    #[test]
+    fn digit_writers_match_display() {
+        let mut out = String::from("x");
+        for n in [0, 1, 9, 10, 99, 100, 1_000_007, u64::MAX - 1, u64::MAX] {
+            write_uint(n, &mut out);
+            assert_eq!(out, format!("x{n}"));
+            out.truncate(1);
+        }
+        for n in [0, -1, 7, -10, i64::MAX, i64::MIN + 1, i64::MIN] {
+            write_int(n, &mut out);
+            assert_eq!(out, format!("x{n}"));
+            out.truncate(1);
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use crate::dag::TaskGraph;
 use crate::fault::FaultEventKind;
-use crate::json::{escape_into, parse_json, JsonValue};
+use crate::json::{parse_json, write_int, write_uint, JsonValue};
 use crate::kernel::Kernel;
 use crate::platform::WorkerId;
 use crate::task::TaskId;
@@ -402,120 +402,88 @@ impl ObsReport {
     /// [`validate_chrome_trace`] pins. Timestamps are microseconds, `tid`
     /// is the worker id, and per-task `args` carry task id, phase, prio
     /// and enqueue seq.
+    ///
+    /// Each event is written in place into one `String` sized for the
+    /// events up front: no per-event temporaries, and numbers through
+    /// `core::json`'s digit writer. Every name and string argument is
+    /// a fixed ASCII label (kernel, phase, fault kind, counter) that needs
+    /// no escaping.
     pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut event = |out: &mut String,
-                         ph: &str,
-                         ts: Time,
-                         dur: Time,
-                         tid: usize,
-                         name: &str,
-                         args: &str| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n{{\"ph\":\"{ph}\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{tid},\"name\":",
-                micros(ts),
-                micros(dur)
-            );
-            escape_into(name, out);
-            let _ = write!(out, ",\"args\":{{{args}}}}}");
-        };
+        let segments = self
+            .spans
+            .iter()
+            .map(|s| {
+                1 + usize::from(!s.transfer_wait().is_zero())
+                    + usize::from(!s.queue_wait().is_zero())
+            })
+            .sum::<usize>();
+        let counters = [
+            ("wakeups", &self.counters.wakeups),
+            ("backfills", &self.counters.backfills),
+            ("max_queue_depth", &self.counters.max_queue_depth),
+        ];
+        let samples = counters
+            .iter()
+            .map(|(_, values)| values.iter().filter(|&&v| v > 0).count())
+            .sum::<usize>();
+        let events = segments + self.failed_attempts.len() + self.worker_deaths.len() + samples;
+        let mut out = String::with_capacity(64 + events * EVENT_BYTES);
+        out.push_str("{\"traceEvents\":[");
         for s in &self.spans {
-            let base = format!(
-                "\"task\":{},\"kernel\":\"{}\",\"prio\":{},\"seq\":{}",
-                s.task.index(),
-                s.kernel.label(),
-                s.prio,
-                s.seq
-            );
             let transfer = s.transfer_wait();
             let queue = s.queue_wait();
-            if !transfer.is_zero() {
-                event(
-                    &mut out,
-                    "X",
-                    s.queued,
-                    transfer,
-                    s.worker,
-                    &format!("{} #{} [transfer]", s.kernel.label(), s.task.index()),
-                    &format!("{base},\"phase\":\"transfer\""),
-                );
+            for (ts, dur, tag, phase) in [
+                (s.queued, transfer, " [transfer]", "transfer"),
+                (s.queued + transfer, queue, " [queued]", "queued"),
+                (s.start, s.exec(), "", "exec"),
+            ] {
+                if !tag.is_empty() && dur.is_zero() {
+                    continue;
+                }
+                begin_event(&mut out, "X", ts, dur, s.worker);
+                task_name_and_args(&mut out, s.kernel, s.task, tag);
+                out.push_str(",\"prio\":");
+                write_int(s.prio, &mut out);
+                out.push_str(",\"seq\":");
+                write_uint(s.seq, &mut out);
+                out.push_str(",\"phase\":\"");
+                out.push_str(phase);
+                out.push_str("\"}}");
             }
-            if !queue.is_zero() {
-                event(
-                    &mut out,
-                    "X",
-                    s.queued + transfer,
-                    queue,
-                    s.worker,
-                    &format!("{} #{} [queued]", s.kernel.label(), s.task.index()),
-                    &format!("{base},\"phase\":\"queued\""),
-                );
-            }
-            event(
-                &mut out,
-                "X",
-                s.start,
-                s.exec(),
-                s.worker,
-                &format!("{} #{}", s.kernel.label(), s.task.index()),
-                &format!("{base},\"phase\":\"exec\""),
-            );
         }
         for a in &self.failed_attempts {
-            event(
+            begin_event(
                 &mut out,
                 "X",
                 a.start,
                 a.end.saturating_sub(a.start),
                 a.worker,
-                &format!("{} #{} [retrying]", a.kernel.label(), a.task.index()),
-                &format!(
-                    "\"task\":{},\"kernel\":\"{}\",\"phase\":\"retrying\",\
-                     \"attempt\":{},\"fault\":\"{}\"",
-                    a.task.index(),
-                    a.kernel.label(),
-                    a.attempt,
-                    a.kind
-                ),
             );
+            task_name_and_args(&mut out, a.kernel, a.task, " [retrying]");
+            out.push_str(",\"phase\":\"retrying\",\"attempt\":");
+            write_uint(u64::from(a.attempt), &mut out);
+            out.push_str(",\"fault\":\"");
+            out.push_str(a.kind);
+            out.push_str("\"}}");
         }
         for &(w, at) in &self.worker_deaths {
-            event(
-                &mut out,
-                "i",
-                at,
-                Time::ZERO,
-                w,
-                "worker lost",
-                &format!("\"worker\":{w},\"phase\":\"worker-lost\""),
-            );
+            begin_event(&mut out, "i", at, Time::ZERO, w);
+            out.push_str("worker lost\",\"args\":{\"worker\":");
+            write_uint(w as u64, &mut out);
+            out.push_str(",\"phase\":\"worker-lost\"}}");
         }
-        for (name, values) in [
-            ("wakeups", &self.counters.wakeups),
-            ("backfills", &self.counters.backfills),
-            ("max_queue_depth", &self.counters.max_queue_depth),
-        ] {
+        for (name, values) in counters {
             for (w, &v) in values.iter().enumerate() {
                 if v > 0 {
-                    event(
-                        &mut out,
-                        "C",
-                        Time::ZERO,
-                        Time::ZERO,
-                        w,
-                        name,
-                        &format!("\"value\":{v}"),
-                    );
+                    begin_event(&mut out, "C", Time::ZERO, Time::ZERO, w);
+                    out.push_str(name);
+                    out.push_str("\",\"args\":{\"value\":");
+                    write_uint(v, &mut out);
+                    out.push_str("}}");
                 }
             }
         }
-        if !first {
+        if !out.ends_with('[') {
             out.push('\n');
         }
         out.push_str("],\"displayTimeUnit\":\"ms\"}");
@@ -659,15 +627,54 @@ impl ObsReport {
     }
 }
 
-/// Nanoseconds → microsecond JSON number (Chrome's native unit), emitted
-/// without float noise: integral values print bare, the rest with the
-/// exact sub-microsecond remainder.
-fn micros(t: Time) -> String {
+/// Bytes [`ObsReport::to_chrome_trace`] reserves per event: a task
+/// event with multi-digit ids and timestamps is about 150–185 bytes.
+const EVENT_BYTES: usize = 192;
+
+/// Start one Chrome trace event, up to the opening quote of its name:
+/// `\n{"ph":…,"ts":…,"dur":…,"pid":0,"tid":…,"name":"`, after a comma
+/// unless it is the first event of the array.
+fn begin_event(out: &mut String, ph: &str, ts: Time, dur: Time, tid: WorkerId) {
+    if !out.ends_with('[') {
+        out.push(',');
+    }
+    out.push_str("\n{\"ph\":\"");
+    out.push_str(ph);
+    out.push_str("\",\"ts\":");
+    write_micros(ts, out);
+    out.push_str(",\"dur\":");
+    write_micros(dur, out);
+    out.push_str(",\"pid\":0,\"tid\":");
+    write_uint(tid as u64, out);
+    out.push_str(",\"name\":\"");
+}
+
+/// A task event's name `KERNEL #id{tag}` and the start of its args,
+/// `"task":id,"kernel":"KERNEL"`, left open for the caller's members.
+fn task_name_and_args(out: &mut String, kernel: Kernel, task: TaskId, tag: &str) {
+    out.push_str(kernel.label());
+    out.push_str(" #");
+    write_uint(task.index() as u64, out);
+    out.push_str(tag);
+    out.push_str("\",\"args\":{\"task\":");
+    write_uint(task.index() as u64, out);
+    out.push_str(",\"kernel\":\"");
+    out.push_str(kernel.label());
+    out.push('"');
+}
+
+/// Append nanoseconds as a microsecond JSON number (Chrome's native
+/// unit), without float noise: integral values print bare, the rest
+/// with the exact three-digit sub-microsecond remainder.
+fn write_micros(t: Time, out: &mut String) {
     let ns = t.as_nanos();
-    if ns.is_multiple_of(1_000) {
-        format!("{}", ns / 1_000)
-    } else {
-        format!("{}.{:03}", ns / 1_000, ns % 1_000)
+    write_uint(ns / 1_000, out);
+    let frac = ns % 1_000;
+    if frac != 0 {
+        out.push('.');
+        for digit in [frac / 100, frac / 10 % 10, frac % 10] {
+            out.push(char::from(b'0' + digit as u8));
+        }
     }
 }
 
@@ -985,11 +992,95 @@ mod tests {
         }
     }
 
+    /// A report whose Chrome trace hits every edge the renderer writes:
+    /// negative and extreme priorities, the largest sequence number,
+    /// sub-microsecond remainders of 1, 10, 100 and 999 ns, transfer and
+    /// queued segments, a failed attempt, a worker death and all three
+    /// counters.
+    fn edge_report() -> ObsReport {
+        let ns = Time::from_nanos;
+        let mut counters = ObsCounters::sized(3);
+        counters.wakeups[1] = 4;
+        counters.backfills[0] = 1;
+        counters.max_queue_depth[0] = 2;
+        counters.max_queue_depth[2] = 9;
+        let span = |task, kernel, worker, prio, seq, queued, data_ready, start, end| TaskSpan {
+            task: TaskId(task),
+            kernel,
+            worker,
+            prio,
+            seq,
+            queued: ns(queued),
+            data_ready: ns(data_ready),
+            start: ns(start),
+            end: ns(end),
+        };
+        ObsReport {
+            n_workers: 3,
+            enabled: true,
+            spans: vec![
+                span(0, Kernel::Potrf, 0, -1, 0, 1, 1_010, 2_100, 3_099),
+                span(
+                    1,
+                    Kernel::Trsm,
+                    1,
+                    i64::MIN,
+                    u64::MAX,
+                    5_000,
+                    0,
+                    5_000,
+                    2_000_000_000,
+                ),
+                span(42, Kernel::Gemm, 2, 7, 3, 10, 10, 1_000_010, 1_000_110),
+            ],
+            counters,
+            failed_attempts: vec![FailedAttempt {
+                task: TaskId(3),
+                kernel: Kernel::Syrk,
+                worker: 1,
+                start: ns(1_500),
+                end: ns(2_501),
+                attempt: 2,
+                kind: "numerical",
+            }],
+            worker_deaths: vec![(2, ns(3_000_001))],
+        }
+    }
+
+    #[test]
+    fn chrome_trace_bytes_are_pinned() {
+        let pinned = r#"{"traceEvents":[
+{"ph":"X","ts":0.001,"dur":1.009,"pid":0,"tid":0,"name":"POTRF #0 [transfer]","args":{"task":0,"kernel":"POTRF","prio":-1,"seq":0,"phase":"transfer"}},
+{"ph":"X","ts":1.010,"dur":1.090,"pid":0,"tid":0,"name":"POTRF #0 [queued]","args":{"task":0,"kernel":"POTRF","prio":-1,"seq":0,"phase":"queued"}},
+{"ph":"X","ts":2.100,"dur":0.999,"pid":0,"tid":0,"name":"POTRF #0","args":{"task":0,"kernel":"POTRF","prio":-1,"seq":0,"phase":"exec"}},
+{"ph":"X","ts":5,"dur":1999995,"pid":0,"tid":1,"name":"TRSM #1","args":{"task":1,"kernel":"TRSM","prio":-9223372036854775808,"seq":18446744073709551615,"phase":"exec"}},
+{"ph":"X","ts":0.010,"dur":1000,"pid":0,"tid":2,"name":"GEMM #42 [queued]","args":{"task":42,"kernel":"GEMM","prio":7,"seq":3,"phase":"queued"}},
+{"ph":"X","ts":1000.010,"dur":0.100,"pid":0,"tid":2,"name":"GEMM #42","args":{"task":42,"kernel":"GEMM","prio":7,"seq":3,"phase":"exec"}},
+{"ph":"X","ts":1.500,"dur":1.001,"pid":0,"tid":1,"name":"SYRK #3 [retrying]","args":{"task":3,"kernel":"SYRK","phase":"retrying","attempt":2,"fault":"numerical"}},
+{"ph":"i","ts":3000.001,"dur":0,"pid":0,"tid":2,"name":"worker lost","args":{"worker":2,"phase":"worker-lost"}},
+{"ph":"C","ts":0,"dur":0,"pid":0,"tid":1,"name":"wakeups","args":{"value":4}},
+{"ph":"C","ts":0,"dur":0,"pid":0,"tid":0,"name":"backfills","args":{"value":1}},
+{"ph":"C","ts":0,"dur":0,"pid":0,"tid":0,"name":"max_queue_depth","args":{"value":2}},
+{"ph":"C","ts":0,"dur":0,"pid":0,"tid":2,"name":"max_queue_depth","args":{"value":9}}
+],"displayTimeUnit":"ms"}"#;
+        assert_eq!(edge_report().to_chrome_trace(), pinned);
+    }
+
     #[test]
     fn micros_formatting_is_exact() {
-        assert_eq!(micros(Time::from_millis(1)), "1000");
-        assert_eq!(micros(Time::from_nanos(1_500)), "1.500");
-        assert_eq!(micros(Time::from_nanos(999)), "0.999");
-        assert_eq!(micros(Time::ZERO), "0");
+        let micros = |t: Time| {
+            let mut out = String::from("ts:");
+            write_micros(t, &mut out);
+            out
+        };
+        assert_eq!(micros(Time::from_millis(1)), "ts:1000");
+        assert_eq!(micros(Time::from_nanos(1_500)), "ts:1.500");
+        assert_eq!(micros(Time::from_nanos(999)), "ts:0.999");
+        assert_eq!(micros(Time::from_nanos(1_010)), "ts:1.010");
+        assert_eq!(
+            micros(Time::from_nanos(u64::MAX)),
+            "ts:18446744073709551.615"
+        );
+        assert_eq!(micros(Time::ZERO), "ts:0");
     }
 }

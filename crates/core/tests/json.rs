@@ -1,9 +1,10 @@
 //! Properties of the shared JSON module: random value trees survive
-//! `render` → `parse_json` unchanged whatever their strings hold, and
-//! parsing stays linear in the document's length however its bytes are
-//! split into strings.
+//! `render` → `parse_json` unchanged whatever their strings hold, the
+//! string escaper writes what a char-by-char escaper writes, and parsing
+//! stays linear in the document's length however its bytes are split
+//! into strings.
 
-use hetchol_core::json::{parse_json, JsonValue};
+use hetchol_core::json::{escape_into, parse_json, JsonValue};
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::time::{Duration, Instant};
@@ -80,8 +81,60 @@ fn all_escaped(s: &str) -> String {
     out
 }
 
+/// The escaping rule as a char-by-char loop: the escaper's definition,
+/// which the bulk-copying [`escape_into`] must match byte for byte.
+fn escape_reference(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Longer random strings for the escaper: runs of plain ASCII broken by
+/// `"`, `\`, any control character, DEL, and scalars of 2, 3 and 4
+/// UTF-8 bytes.
+struct Escapable;
+
+impl Strategy for Escapable {
+    type Value = String;
+    fn sample(&self, rng: &mut TestRng) -> String {
+        let len = (0usize..80).sample(rng);
+        (0..len)
+            .map(|_| {
+                let scalar = match (0u8..8).sample(rng) {
+                    0 => (0u32..0x20).sample(rng),
+                    1 => [0x22, 0x5c, 0x7f][(0usize..3).sample(rng)],
+                    2 => (0x80u32..0x800).sample(rng),
+                    3 => (0x800u32..0x10000).sample(rng),
+                    4 => (0x10000u32..0x110000).sample(rng),
+                    _ => (0x20u32..0x7f).sample(rng),
+                };
+                char::from_u32(scalar).unwrap_or('\u{fffd}')
+            })
+            .collect()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn escaper_matches_the_char_by_char_reference(s in Escapable, prefix in Text) {
+        // Appending keeps what `out` already held.
+        let mut out = prefix.clone();
+        escape_into(&s, &mut out);
+        prop_assert_eq!(out, format!("{prefix}{}", escape_reference(&s)));
+    }
 
     #[test]
     fn random_trees_round_trip_through_render(v in Tree { depth: 4 }) {

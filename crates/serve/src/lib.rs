@@ -69,7 +69,7 @@ pub mod wal;
 
 use hetchol::job::{outcome_to_json, JobError, JobSpec};
 use hetchol_core::fault::{IoFaultPlan, RunOutcome};
-use hetchol_core::json::{parse_json, JsonValue};
+use hetchol_core::json::JsonValue;
 use parking_lot::channel;
 use pool::{JobRequest, Pool, ServerState, ShardReply, StateOptions, SubmitError};
 use std::io::{self};
@@ -583,22 +583,18 @@ fn jobs_subresource(method: &str, path: &str, ctx: &Ctx) -> (u16, String) {
         },
         "lint" => match job.lint() {
             Some(Ok(report)) => {
-                let report_value = parse_json(&report.to_json()).unwrap_or(JsonValue::Null);
-                (
-                    200,
-                    JsonValue::Obj(vec![
-                        ("status".into(), JsonValue::str("ok")),
-                        ("job_id".into(), JsonValue::uint(id)),
-                        ("errors".into(), JsonValue::uint(report.n_errors() as u64)),
-                        (
-                            "warnings".into(),
-                            JsonValue::uint(report.n_warnings() as u64),
-                        ),
-                        ("clean".into(), JsonValue::Bool(report.is_clean())),
-                        ("report".into(), report_value),
-                    ])
-                    .render(),
-                )
+                // The envelope's fixed members, then the report's own JSON
+                // as the last member's value.
+                let mut body = format!(
+                    "{{\"status\":\"ok\",\"job_id\":{id},\"errors\":{},\"warnings\":{},\
+                     \"clean\":{},\"report\":",
+                    report.n_errors(),
+                    report.n_warnings(),
+                    report.is_clean()
+                );
+                body.push_str(&report.to_json());
+                body.push('}');
+                (200, body)
             }
             Some(Err(err)) => (400, err.to_json_value().render()),
             None => (
@@ -761,6 +757,7 @@ fn stats_body(ctx: &Ctx) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetchol_core::json::parse_json;
 
     fn start() -> Server {
         Server::start(ServeConfig {

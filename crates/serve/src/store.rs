@@ -63,8 +63,9 @@ impl StoredJob {
     pub fn fresh(id: u64, spec: JobSpec, outcome: JobOutcome, sim: Option<SimResult>) -> StoredJob {
         let trace = sim.filter(|_| spec.obs).map(|r| {
             let mut text = r.obs.to_chrome_trace();
-            // The renderer grows by doubling; keep the length, not the
-            // growth buffer, so `approx_bytes` counts what is held.
+            // The renderer reserves an estimate per event; keep the
+            // length, not the spare capacity, so `approx_bytes` counts
+            // what is held.
             text.shrink_to_fit();
             text
         });

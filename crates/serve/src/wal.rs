@@ -31,7 +31,7 @@
 use hetchol::job::{JobOutcome, JobSpec};
 use hetchol_core::fault::{IoFault, IoFaultPlan};
 use hetchol_core::hash::ContentHasher;
-use hetchol_core::json::{parse_json, JsonValue};
+use hetchol_core::json::{escape_into, parse_json, JsonValue};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -70,20 +70,28 @@ pub struct WalRecord {
 impl WalRecord {
     /// The record payload: `{"v":1,"id":N,"spec":…,"outcome":…,"trace":…}`.
     pub fn to_payload(&self) -> String {
-        JsonValue::Obj(vec![
-            ("v".into(), JsonValue::uint(1)),
-            ("id".into(), JsonValue::uint(self.id)),
-            ("spec".into(), self.spec.to_json_value()),
-            ("outcome".into(), self.outcome.to_json_value()),
-            (
-                "trace".into(),
-                match &self.trace {
-                    Some(t) => JsonValue::str(t),
-                    None => JsonValue::Null,
-                },
-            ),
-        ])
-        .render()
+        let mut out = String::new();
+        self.write_payload(&mut out);
+        out
+    }
+
+    /// Append the payload to `out`, the trace escaped straight from the
+    /// record: the one writer behind [`WalRecord::to_payload`] and
+    /// [`WalRecord::frame`]. The bytes are those of the record rendered
+    /// as one [`JsonValue`] object with these five members.
+    fn write_payload(&self, out: &mut String) {
+        out.push_str("{\"v\":1,\"id\":");
+        JsonValue::uint(self.id).write(out);
+        out.push_str(",\"spec\":");
+        self.spec.to_json_value().write(out);
+        out.push_str(",\"outcome\":");
+        self.outcome.to_json_value().write(out);
+        out.push_str(",\"trace\":");
+        match &self.trace {
+            Some(t) => escape_into(t, out),
+            None => out.push_str("null"),
+        }
+        out.push('}');
     }
 
     /// Parse a payload emitted by [`WalRecord::to_payload`].
@@ -105,12 +113,20 @@ impl WalRecord {
     }
 
     /// Frame the record for the wire: length prefix, checksum, payload.
+    /// The payload is written once, straight into the frame's buffer
+    /// behind a placeholder header, which is patched once the payload's
+    /// length and checksum are known.
     pub fn frame(&self) -> Vec<u8> {
-        let payload = self.to_payload().into_bytes();
-        let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&checksum(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        // The spec and outcome take well under a KB; escaping a Chrome
+        // trace grows it by about a fifth (its quotes and newlines).
+        let trace = self.trace.as_ref().map_or(0, String::len);
+        let mut text = String::with_capacity(HEADER_BYTES + 1024 + trace + trace / 4);
+        text.extend(std::iter::repeat_n('\0', HEADER_BYTES));
+        self.write_payload(&mut text);
+        let mut buf = text.into_bytes();
+        let (header, payload) = buf.split_at_mut(HEADER_BYTES);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&checksum(payload).to_le_bytes());
         buf
     }
 }

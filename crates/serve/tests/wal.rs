@@ -1,12 +1,18 @@
 //! Crash-recovery property tests for the append-only job log: on a log
 //! of random records, any truncation or byte-flip recovers exactly the
 //! longest checksummed prefix — no panic, no phantom jobs — and the
-//! torn-tail warning renders a stable wire shape.
+//! torn-tail warning renders a stable wire shape. The frame bytes
+//! themselves are pinned: a digest of a fixed record set, and each
+//! payload against the record's rendering as one JSON value tree.
 
-use hetchol::job::{JobOutcome, JobSpec};
+use hetchol::job::{JobAction, JobOutcome, JobSpec};
 use hetchol_core::fault::RunOutcome;
-use hetchol_serve::wal::{scan, WalRecord};
+use hetchol_core::hash::ContentHasher;
+use hetchol_core::json::JsonValue;
+use hetchol_serve::store::StoredJob;
+use hetchol_serve::wal::{scan, WalRecord, HEADER_BYTES};
 use proptest::prelude::*;
+use proptest::TestRng;
 
 /// A deterministic synthetic record: a real spec and outcome in their
 /// wire forms, with a trace on even seeds so both payload shapes occur.
@@ -155,4 +161,133 @@ fn torn_tail_warning_renders_the_golden_shape() {
     let rendered = clean.to_json_value().render();
     assert!(rendered.contains(r#""recovered":1"#), "{rendered}");
     assert!(rendered.ends_with(r#""torn":null}"#), "{rendered}");
+}
+
+/// A trace string holding every escape class the payload writer knows
+/// (`"`, `\`, the named and the `\u` control characters), the
+/// characters it must pass through (`/`, DEL) and multi-byte UTF-8.
+fn escape_heavy_trace() -> String {
+    let mut t = String::from("{\"traceEvents\":[],\"note\":\"");
+    t.extend((0u32..0x20).filter_map(char::from_u32));
+    t.push_str("\" \\ / \u{7f} é ß € ∞ 😀 𝄞 plain ascii run");
+    t.extend(['\n', '\t', '\r', '"', '\\']);
+    t.push_str("\"}");
+    t
+}
+
+/// The fixed record set whose frames are pinned: real `obs` jobs at 2–4
+/// tiles under dmda, dmdas and eager, one bounds job (no trace), and one
+/// synthetic record whose trace holds every escape class.
+fn pinned_records() -> Vec<WalRecord> {
+    let mut records = Vec::new();
+    for n in 2..=4 {
+        for scheduler in ["dmda", "dmdas", "eager"] {
+            let mut spec = JobSpec::new("cholesky", n)
+                .expect("known workload")
+                .scheduler(scheduler);
+            spec.obs = true;
+            let run = spec.run().expect("valid spec");
+            let id = records.len() as u64 + 1;
+            records.push(StoredJob::fresh(id, spec, run.outcome, run.sim));
+        }
+    }
+    let spec = JobSpec::new("cholesky", 4)
+        .expect("known workload")
+        .action(JobAction::Bounds);
+    let run = spec.run().expect("valid spec");
+    records.push(StoredJob::fresh(100, spec, run.outcome, run.sim));
+    let mut synthetic = record(1 << 40, 2);
+    synthetic.trace = Some(escape_heavy_trace());
+    records.push(synthetic);
+    records
+}
+
+/// The frames of [`pinned_records`] are the bytes the log held before
+/// the payload writer wrote straight into the frame: one FNV digest over
+/// all of them, recorded from the tree-rendering framer.
+#[test]
+fn frames_of_a_fixed_record_set_are_pinned() {
+    let records = pinned_records();
+    assert!(records[..9].iter().all(|r| r.trace.is_some()));
+    assert!(records[9].trace.is_none(), "the bounds job has no trace");
+    let mut h = ContentHasher::new();
+    let mut bytes = 0;
+    for r in &records {
+        let frame = r.frame();
+        bytes += frame.len();
+        h.write_bytes(&frame);
+    }
+    assert_eq!(
+        (format!("{:016x}", h.finish()), bytes),
+        ("6126d2ba28655b41".to_string(), 38_797)
+    );
+}
+
+/// The record payload as one JSON value tree, rendered: the shape the
+/// framer wrote before it streamed the payload.
+fn tree_payload(r: &WalRecord) -> String {
+    JsonValue::Obj(vec![
+        ("v".into(), JsonValue::uint(1)),
+        ("id".into(), JsonValue::uint(r.id)),
+        ("spec".into(), r.spec.to_json_value()),
+        ("outcome".into(), r.outcome.to_json_value()),
+        (
+            "trace".into(),
+            r.trace.as_deref().map_or(JsonValue::Null, JsonValue::str),
+        ),
+    ])
+    .render()
+}
+
+/// Random trace text: runs of plain ASCII between escape-class bytes,
+/// DEL and scalars of every UTF-8 length.
+struct TraceText;
+
+impl Strategy for TraceText {
+    type Value = Option<String>;
+    fn sample(&self, rng: &mut TestRng) -> Option<String> {
+        if (0u8..8).sample(rng) == 0 {
+            return None;
+        }
+        let len = (0usize..200).sample(rng);
+        let text = (0..len)
+            .map(|_| {
+                let scalar = match (0u8..8).sample(rng) {
+                    0 => (0u32..0x20).sample(rng),
+                    1 => [0x22, 0x5c, 0x2f, 0x7f][(0usize..4).sample(rng)],
+                    2 => (0x80u32..0x800).sample(rng),
+                    3 => (0x800u32..0x10000).sample(rng),
+                    4 => (0x10000u32..0x110000).sample(rng),
+                    _ => (0x20u32..0x7f).sample(rng),
+                };
+                char::from_u32(scalar).unwrap_or('\u{fffd}')
+            })
+            .collect();
+        Some(text)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Each frame is its header and then exactly the tree rendering of
+    /// the record: the length prefix counts it and the checksum is the
+    /// FNV-1a of those bytes.
+    #[test]
+    fn frame_payload_equals_the_tree_rendering(
+        id in 0u64..1 << 53,
+        seed in 0u64..1_000_000,
+        trace in TraceText,
+    ) {
+        let mut rec = record(id, seed);
+        rec.trace = trace;
+        let frame = rec.frame();
+        let want = tree_payload(&rec);
+        prop_assert_eq!(&frame[HEADER_BYTES..], want.as_bytes());
+        prop_assert_eq!(rec.to_payload(), want.clone());
+        prop_assert_eq!(&frame[..4], &(want.len() as u32).to_le_bytes()[..]);
+        let mut h = ContentHasher::new();
+        h.write_bytes(want.as_bytes());
+        prop_assert_eq!(&frame[4..HEADER_BYTES], &h.finish().to_le_bytes()[..]);
+    }
 }
